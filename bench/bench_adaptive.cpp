@@ -127,8 +127,6 @@ int main(int argc, char** argv) {
 
   RunOptions run;
   run.parallelism = bench_options.parallelism;
-  run.chunk_size = bench_options.chunk_size;
-  run.per_word = bench_options.per_word;
   const std::string title =
       "Adaptive meta-codec on phase-changing streams (32-bit bus, "
       "window 64, hysteresis 16)";

@@ -12,7 +12,7 @@
 //                     document of the same stream (timings never enter
 //                     it, so the bytes match across backends and hosts —
 //                     the ISA-matrix CI job diffs exactly this)
-//   --chunk-size N / --metrics <path>  as in every table bench
+//   --metrics <path>  as in every table bench
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   abenc::SyntheticGenerator gen(7);
   const abenc::AddressTrace trace = gen.MultiplexedLike(length);
   const std::vector<BusAccess> stream = trace.ToBusAccesses();
+  const abenc::SpanTraceSource rows(stream);
   const abenc::CodecOptions options;
   const std::vector<simd::KernelBackend> backends = simd::SupportedBackends();
 
@@ -131,8 +132,8 @@ int main(int argc, char** argv) {
       const double seconds = TimedSeconds(
           [&] {
             return abenc::EvaluateBatched(
-                *abenc::MakeCodec(codec_name, options), stream,
-                options.stride, false, bench_options.chunk_size);
+                *abenc::MakeCodec(codec_name, options), rows, options.stride,
+                false);
           },
           reference,
           codec_name + " backend=" + simd::BackendName(backend) + " (span)");
@@ -145,8 +146,7 @@ int main(int argc, char** argv) {
     const double mmap_s = TimedSeconds(
         [&] {
           return abenc::EvaluateBatched(*abenc::MakeCodec(codec_name, options),
-                                        mapped, options.stride, false,
-                                        bench_options.chunk_size);
+                                        mapped, options.stride, false);
         },
         reference, codec_name + " (mmap)");
 

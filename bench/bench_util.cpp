@@ -61,14 +61,10 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       options.json_path = value;
     } else if (MatchFlag("parallelism", argc, argv, i, value)) {
       options.parallelism = ParseUnsigned("parallelism", value);
-    } else if (MatchFlag("chunk-size", argc, argv, i, value)) {
-      options.chunk_size = ParseUnsigned("chunk-size", value);
-    } else if (std::string_view(argv[i]) == "--per-word") {
-      options.per_word = true;
     } else if (MatchFlag("metrics", argc, argv, i, value)) {
       options.metrics_path = value;
     }
-    // Anything else (google-benchmark flags, etc.) is ignored.
+    // Anything else is ignored.
   }
   return options;
 }
@@ -118,8 +114,6 @@ void PrintExperimentalTable(const std::string& title, StreamKind kind,
 
   RunOptions run;
   run.parallelism = bench_options.parallelism;
-  run.chunk_size = bench_options.chunk_size;
-  run.per_word = bench_options.per_word;
   const Comparison comparison =
       RunComparison(codec_names, streams, options, nullptr, run);
 

@@ -25,13 +25,6 @@ struct BenchOptions {
   /// Worker threads for the experiment engine; 0 = one per hardware
   /// thread, 1 = the sequential path. Results are identical either way.
   unsigned parallelism = 0;
-  /// Chunk length of the batched evaluation path (0 = the library
-  /// default, kDefaultChunkSize). Bit-identical at every setting.
-  std::size_t chunk_size = 0;
-  /// Evaluate through the legacy per-word loop instead of the batched
-  /// kernels. Exists for A/B timing and the CI byte-diff gate; results
-  /// are identical either way.
-  bool per_word = false;
   /// Write an `abenc.metrics.v1` document of everything the run's
   /// instrumentation recorded here (empty: observability stays off and
   /// costs nothing). Metrics never feed back into results: a --metrics
@@ -40,12 +33,11 @@ struct BenchOptions {
 };
 
 /// Parse `--json <path>` / `--json=<path>`, `--parallelism <n>` /
-/// `--parallelism=<n>`, `--chunk-size <n>` / `--chunk-size=<n>`,
-/// `--per-word` and `--metrics <path>` / `--metrics=<path>`.
+/// `--parallelism=<n>` and `--metrics <path>` / `--metrics=<path>`.
 /// Unknown arguments are ignored so the benches stay runnable under
-/// generic harnesses (e.g. the CI smoke loop passes google-benchmark
-/// flags to every binary). Throws std::invalid_argument when a
-/// recognized flag is missing its value.
+/// generic harnesses (bench-specific flags such as bench_kernels'
+/// `--length` share the command line). Throws std::invalid_argument
+/// when a recognized flag is missing its value.
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// Owns the bench's MetricsRegistry: when `path` is nonempty the

@@ -222,21 +222,21 @@ Word AdaptiveCodec::Decode(const BusState& bus, bool sel) {
   return DecodeOne(bus, sel);
 }
 
-void AdaptiveCodec::EncodeBlock(std::span<const BusAccess> in,
+void AdaptiveCodec::EncodeBatch(AccessView in, std::size_t n,
                                 std::span<BusState> out) {
   End& e = enc_;
   std::size_t i = 0;
-  while (i < in.size()) {
+  while (i < n) {
     if (AtBoundary(e)) {
-      out[i] = EncodeOne(in[i].address, in[i].sel);
+      out[i] = EncodeOne(in.address(i), in.sel_at(i));
       ++i;
       continue;
     }
     const std::size_t room = window_ - (e.accesses % window_);
-    const std::size_t run = std::min(room, in.size() - i);
-    const std::span<const BusAccess> sub_in = in.subspan(i, run);
+    const std::size_t run = std::min(room, n - i);
+    const AccessView sub_in = in.From(i);
     const std::span<BusState> sub_out = out.subspan(i, run);
-    e.members[static_cast<std::size_t>(e.active)]->EncodeBlock(sub_in,
+    e.members[static_cast<std::size_t>(e.active)]->EncodeBatch(sub_in, run,
                                                                sub_out);
     if (e.pending_esc) {
       sub_out[0].redundant |= 1;
@@ -245,45 +245,11 @@ void AdaptiveCodec::EncodeBlock(std::span<const BusAccess> in,
     e.scratch.resize(run);
     const std::span<BusState> scratch(e.scratch.data(), run);
     for (std::size_t m = 0; m < palette_.size(); ++m) {
-      e.shadows[m]->EncodeBlock(sub_in, scratch);
-      for (const BusState& state : scratch) e.counters[m].Observe(state);
-    }
-    for (const BusAccess& access : sub_in) {
-      ObserveStats(e, Mask(access.address), access.sel);
-    }
-    e.accesses += run;
-    i += run;
-  }
-}
-
-void AdaptiveCodec::EncodeColumns(const Word* addresses,
-                                  const std::uint8_t* sel, std::size_t n,
-                                  std::span<BusState> out) {
-  End& e = enc_;
-  std::size_t i = 0;
-  while (i < n) {
-    if (AtBoundary(e)) {
-      out[i] = EncodeOne(addresses[i], sel[i] != 0);
-      ++i;
-      continue;
-    }
-    const std::size_t room = window_ - (e.accesses % window_);
-    const std::size_t run = std::min(room, n - i);
-    const std::span<BusState> sub_out = out.subspan(i, run);
-    e.members[static_cast<std::size_t>(e.active)]->EncodeColumns(
-        addresses + i, sel + i, run, sub_out);
-    if (e.pending_esc) {
-      sub_out[0].redundant |= 1;
-      e.pending_esc = false;
-    }
-    e.scratch.resize(run);
-    const std::span<BusState> scratch(e.scratch.data(), run);
-    for (std::size_t m = 0; m < palette_.size(); ++m) {
-      e.shadows[m]->EncodeColumns(addresses + i, sel + i, run, scratch);
+      e.shadows[m]->EncodeBatch(sub_in, run, scratch);
       for (const BusState& state : scratch) e.counters[m].Observe(state);
     }
     for (std::size_t k = 0; k < run; ++k) {
-      ObserveStats(e, Mask(addresses[i + k]), sel[i + k] != 0);
+      ObserveStats(e, Mask(sub_in.address(k)), sub_in.sel_at(k));
     }
     e.accesses += run;
     i += run;

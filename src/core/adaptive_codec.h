@@ -138,8 +138,8 @@ struct AdaptiveSabotage {
 ///
 /// Reset() restores power-on on both ends (active member back to
 /// palette[0], empty statistics, cleared decision logs), so the codec
-/// survives EvaluateWithResets and the service layer's eviction /
-/// resync / degrade ladder.
+/// survives EvaluateWithSchedule's reset points and the service layer's
+/// eviction / resync / degrade ladder.
 class AdaptiveCodec final : public Codec {
  public:
   /// Builds a member codec by factory name at the meta-codec's width.
@@ -162,15 +162,13 @@ class AdaptiveCodec final : public Codec {
   Word Decode(const BusState& bus, bool sel) override;
   void Reset() override;
 
-  /// Batched paths: segments the block at window boundaries and
+  /// Batched path: segments the block at window boundaries and
   /// delegates each in-window run to the active member's own
-  /// EncodeBlock/EncodeColumns (hence the member's SIMD kernels);
-  /// shadows advance through their batched paths too. Bit-identical to
-  /// per-word Encode by the members' own contract.
-  void EncodeBlock(std::span<const BusAccess> in,
+  /// EncodeBatch (hence the member's SIMD kernels); shadows advance
+  /// through their batched paths too. Bit-identical to per-word Encode
+  /// by the members' own contract.
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override;
-  void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
-                     std::size_t n, std::span<BusState> out) override;
 
   /// The default palette: the paper's regime winners plus binary.
   static std::vector<std::string> DefaultPalette();

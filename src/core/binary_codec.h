@@ -23,17 +23,11 @@ class BinaryCodec final : public Codec {
   // Devirtualized block kernel, routed through the active SIMD backend
   // (core/simd/kernel_dispatch.h). Stateless, so chunk boundaries
   // cannot matter.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
-    if (in.empty()) return;
-    simd::ActiveKernels().binary(simd::ViewAddresses(in.data()), in.size(),
-                                 LowMask(width()), out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* /*sel*/,
-                     std::size_t n, std::span<BusState> out) override {
     if (n == 0) return;
-    simd::ActiveKernels().binary(simd::AddressView{addresses, 1}, n,
-                                 LowMask(width()), out.data());
+    simd::ActiveKernels().binary(in.addresses, n, LowMask(width()),
+                                 out.data());
   }
   Word Decode(const BusState& bus, bool /*sel*/) override {
     return Mask(bus.lines);

@@ -81,29 +81,16 @@ class BusInvertCodec final : public Codec {
   // recurrence: the decision feeds one cycle's popcount into the next
   // and does not vectorize); multi-partition slices reuse the per-word
   // member logic without the per-word virtual dispatch.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
     if (partitions_ != 1) {
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        out[i] = Encode(in[i].address, in[i].sel);
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = Encode(in.address(i), in.sel_at(i));
       }
       return;
     }
-    if (in.empty()) return;
-    simd::ActiveKernels().bus_invert(simd::ViewAddresses(in.data()),
-                                     in.size(), LowMask(width()),
-                                     static_cast<int>(width()), &prev_,
-                                     out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
-                     std::size_t n, std::span<BusState> out) override {
-    if (partitions_ != 1) {
-      Codec::EncodeColumns(addresses, sel, n, out);
-      return;
-    }
     if (n == 0) return;
-    simd::ActiveKernels().bus_invert(simd::AddressView{addresses, 1}, n,
-                                     LowMask(width()),
+    simd::ActiveKernels().bus_invert(in.addresses, n, LowMask(width()),
                                      static_cast<int>(width()), &prev_,
                                      out.data());
   }

@@ -1,13 +1,46 @@
 // Abstract interface implemented by every address-bus code in the library.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "core/simd/kernels.h"
 #include "core/types.h"
 
 namespace abenc {
+
+/// Strided, read-in-place view of a run of stream accesses: the input of
+/// Codec::EncodeBatch. Both stream layouts share it without copies —
+/// columnar buffers (the mmap trace path and wire SUBMIT batches: every
+/// column step 1) and BusAccess arrays (the `address` member at Word
+/// step 2, the `sel` member at byte step sizeof(BusAccess)).
+struct AccessView {
+  simd::AddressView addresses;
+  const std::uint8_t* sel = nullptr;  // SEL of access 0; nonzero = asserted
+  std::size_t sel_step = 1;           // bytes between consecutive SELs
+
+  static AccessView Columns(const Word* addresses, const std::uint8_t* sel) {
+    return AccessView{simd::AddressView{addresses, 1}, sel, 1};
+  }
+  static AccessView Rows(const BusAccess* accesses) {
+    static_assert(sizeof(bool) == 1, "BusAccess::sel must be one byte");
+    return AccessView{simd::ViewAddresses(accesses),
+                      reinterpret_cast<const std::uint8_t*>(&accesses->sel),
+                      sizeof(BusAccess)};
+  }
+
+  Word address(std::size_t i) const { return addresses[i]; }
+  bool sel_at(std::size_t i) const { return sel[sel_step * i] != 0; }
+  /// The view of accesses [i, ...).
+  AccessView From(std::size_t i) const {
+    return AccessView{
+        simd::AddressView{addresses.addr + addresses.step * i, addresses.step},
+        sel + sel_step * i, sel_step};
+  }
+};
 
 /// A bus code: a stateful mapping from the address stream b(t) to the bus
 /// stream B(t) (encode) and back (decode).
@@ -49,40 +82,33 @@ class Codec {
   /// Encode the next address of the stream. Addresses are masked to N bits.
   virtual BusState Encode(Word address, bool sel) = 0;
 
-  /// Encode a block of consecutive stream accesses into `out` — the
-  /// batched hot path of the stream evaluator. `out.size()` must be at
-  /// least `in.size()`; entries [0, in.size()) are written.
+  /// Encode `n` consecutive stream accesses, read through `in`, into
+  /// `out` (which must hold at least `n` entries) — the one batched
+  /// entry of every codec, behind EvaluateBatched and the service's
+  /// session accounting.
   ///
   /// Contract (the "bit-identity guarantee", enforced for every factory
   /// codec by the `batched-identity` verify property and
-  /// tests/stream_evaluator_test): EncodeBlock(in, out) produces
-  /// exactly the BusState sequence that `in.size()` successive Encode()
-  /// calls would, and leaves the encoder-side state identical, so any
-  /// chunking of a stream — including mixing EncodeBlock and Encode —
-  /// yields the same bus trajectory. The base implementation loops the
-  /// virtual Encode; the high-traffic codes (binary, Gray, offset, T0,
-  /// INC-XOR, bus-invert) override it with devirtualized kernels that
-  /// pay one virtual dispatch per block instead of per word.
-  virtual void EncodeBlock(std::span<const BusAccess> in,
+  /// tests/stream_evaluator_test): EncodeBatch produces exactly the
+  /// BusState sequence that `n` successive Encode() calls would, and
+  /// leaves the encoder-side state identical, so any chunking of a
+  /// stream — in either layout, mixed freely with Encode — yields the
+  /// same bus trajectory. The base implementation loops the virtual
+  /// Encode; the high-traffic codes (binary, Gray, offset, T0, INC-XOR,
+  /// bus-invert) override it with the SIMD dispatch kernels, which pay
+  /// one virtual dispatch per block instead of per word.
+  virtual void EncodeBatch(AccessView in, std::size_t n,
                            std::span<BusState> out) {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = Encode(in[i].address, in[i].sel);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = Encode(in.address(i), in.sel_at(i));
     }
   }
 
-  /// Encode a block presented as raw columns — the zero-copy trace path
-  /// of EvaluateBatched (see core/trace_source.h TraceColumns and
-  /// trace/mmap_trace.h). `addresses[i]` and `sel[i]` (nonzero = SEL
-  /// asserted / instruction slot) describe access i; `out` must hold at
-  /// least `n` entries. Same bit-identity contract as EncodeBlock. The
-  /// base implementation loops the virtual Encode; kernel-backed codecs
-  /// override it to feed the columnar buffers straight into the
-  /// dispatch kernels without materializing BusAccess records.
-  virtual void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
-                             std::size_t n, std::span<BusState> out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Encode(addresses[i], sel[i] != 0);
-    }
+  /// EncodeBatch over raw columns: `addresses[i]` and `sel[i]` (nonzero
+  /// = SEL asserted / instruction slot) describe access i.
+  void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
+                     std::size_t n, std::span<BusState> out) {
+    EncodeBatch(AccessView::Columns(addresses, sel), n, out);
   }
 
   /// Decode the next bus state of the stream. SEL must match the value the

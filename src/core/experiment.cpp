@@ -31,32 +31,16 @@ void RecordCellMetrics(obs::MetricsRegistry& registry,
       .Increment(static_cast<std::uint64_t>(result.transitions));
 }
 
-// Runs one codec over one stream, decode-verified, honouring the
-// engine's path selection: the batched chunked path by default, the
-// legacy per-word loop under RunOptions::per_word. Both are
-// bit-identical by the EncodeBlock contract.
+// Runs one codec over one stream through the batched path,
+// decode-verified.
 EvalResult EvaluateStream(Codec& codec, const NamedStream& stream,
-                          const CodecOptions& options,
-                          const RunOptions& run) {
-  if (run.per_word) {
-    if (stream.source) {
-      // The legacy loop wants a contiguous stream; materialize one
-      // copy locally (this is exactly the allocation the batched path
-      // exists to avoid).
-      std::vector<BusAccess> accesses(stream.source->size());
-      stream.source->Read(0, accesses);
-      return Evaluate(codec, accesses, options.stride,
-                      /*verify_decode=*/true);
-    }
-    return Evaluate(codec, stream.accesses, options.stride,
-                    /*verify_decode=*/true);
-  }
+                          const CodecOptions& options) {
   if (stream.source) {
     return EvaluateBatched(codec, *stream.source, options.stride,
-                           /*verify_decode=*/true, run.chunk_size);
+                           /*verify_decode=*/true);
   }
-  return EvaluateBatched(codec, stream.accesses, options.stride,
-                         /*verify_decode=*/true, run.chunk_size);
+  return EvaluateBatched(codec, SpanTraceSource(stream.accesses),
+                         options.stride, /*verify_decode=*/true);
 }
 
 // One (stream, codec) cell from codec reset, decode-verified. Shared by
@@ -64,15 +48,14 @@ EvalResult EvaluateStream(Codec& codec, const NamedStream& stream,
 ComparisonCell EvaluateCell(
     const std::string& codec_name, const NamedStream& stream,
     const CodecOptions& options,
-    const std::function<void(const std::string&, CodecOptions&)>& configure,
-    const RunOptions& run) {
+    const std::function<void(const std::string&, CodecOptions&)>& configure) {
   CodecOptions codec_options = options;
   if (configure) configure(codec_name, codec_options);
   auto codec = MakeCodec(codec_name, codec_options);
   ComparisonCell cell;
   obs::MetricsRegistry* registry = obs::Installed();
   const double start = registry ? obs::MonotonicSeconds() : 0.0;
-  cell.result = EvaluateStream(*codec, stream, options, run);
+  cell.result = EvaluateStream(*codec, stream, options);
   if (registry) {
     RecordCellMetrics(*registry, codec_name, cell.result,
                       obs::MonotonicSeconds() - start);
@@ -81,12 +64,11 @@ ComparisonCell EvaluateCell(
 }
 
 EvalResult EvaluateBinaryReference(const NamedStream& stream,
-                                   const CodecOptions& options,
-                                   const RunOptions& run) {
+                                   const CodecOptions& options) {
   auto binary = MakeCodec("binary", options);
   obs::MetricsRegistry* registry = obs::Installed();
   const double start = registry ? obs::MonotonicSeconds() : 0.0;
-  EvalResult result = EvaluateStream(*binary, stream, options, run);
+  EvalResult result = EvaluateStream(*binary, stream, options);
   if (registry) {
     RecordCellMetrics(*registry, "binary", result,
                       obs::MonotonicSeconds() - start);
@@ -97,18 +79,16 @@ EvalResult EvaluateBinaryReference(const NamedStream& stream,
 Comparison RunComparisonSequential(
     const std::vector<std::string>& codec_names,
     const std::vector<NamedStream>& streams, const CodecOptions& options,
-    const std::function<void(const std::string&, CodecOptions&)>& configure,
-    const RunOptions& run) {
+    const std::function<void(const std::string&, CodecOptions&)>& configure) {
   Comparison comparison;
   comparison.codec_names = codec_names;
   comparison.rows.reserve(streams.size());
   for (const NamedStream& stream : streams) {
     ComparisonRow row;
     row.stream_name = stream.name;
-    row.binary = EvaluateBinaryReference(stream, options, run);
+    row.binary = EvaluateBinaryReference(stream, options);
     for (const std::string& name : codec_names) {
-      ComparisonCell cell =
-          EvaluateCell(name, stream, options, configure, run);
+      ComparisonCell cell = EvaluateCell(name, stream, options, configure);
       cell.savings_percent =
           SavingsPercent(cell.result.transitions, row.binary.transitions);
       row.cells.push_back(std::move(cell));
@@ -122,7 +102,7 @@ Comparison RunComparisonParallel(
     const std::vector<std::string>& codec_names,
     const std::vector<NamedStream>& streams, const CodecOptions& options,
     const std::function<void(const std::string&, CodecOptions&)>& configure,
-    const RunOptions& run, unsigned parallelism) {
+    unsigned parallelism) {
   Comparison comparison;
   comparison.codec_names = codec_names;
   comparison.rows.resize(streams.size());
@@ -155,19 +135,19 @@ Comparison RunComparisonParallel(
       const NamedStream* stream = &streams[s];
       const double submitted = queue_wait ? obs::MonotonicSeconds() : 0.0;
       binary_futures.push_back(
-          pool.Submit([stream, &options, &run, observe_wait, submitted]() {
+          pool.Submit([stream, &options, observe_wait, submitted]() {
             observe_wait(submitted);
-            return EvaluateBinaryReference(*stream, options, run);
+            return EvaluateBinaryReference(*stream, options);
           }));
       for (std::size_t c = 0; c < codec_names.size(); ++c) {
         const std::string* name = &codec_names[c];
         const double cell_submitted =
             queue_wait ? obs::MonotonicSeconds() : 0.0;
         cell_futures.push_back(
-            pool.Submit([name, stream, &options, &configure, &run,
-                         observe_wait, cell_submitted]() {
+            pool.Submit([name, stream, &options, &configure, observe_wait,
+                         cell_submitted]() {
               observe_wait(cell_submitted);
-              return EvaluateCell(*name, *stream, options, configure, run);
+              return EvaluateCell(*name, *stream, options, configure);
             }));
       }
     }
@@ -236,10 +216,9 @@ Comparison RunComparison(
   const double start = registry ? obs::MonotonicSeconds() : 0.0;
   Comparison comparison =
       (parallelism <= 1 || streams.empty())
-          ? RunComparisonSequential(codec_names, streams, options, configure,
-                                    run)
+          ? RunComparisonSequential(codec_names, streams, options, configure)
           : RunComparisonParallel(codec_names, streams, options, configure,
-                                  run, parallelism);
+                                  parallelism);
   if (registry) {
     const double elapsed = obs::MonotonicSeconds() - start;
     std::size_t words = 0;  // every evaluated access, reference included

@@ -72,24 +72,12 @@ struct RunOptions {
   /// matrix is reduced in (stream, codec) order regardless of which
   /// worker finished first.
   unsigned parallelism = 1;
-
-  /// Chunk length of the batched evaluation path; `0` picks
-  /// kDefaultChunkSize. Results are bit-identical at every chunk size
-  /// (the EncodeBlock contract), so this knob trades working-set size
-  /// against per-chunk overhead only.
-  std::size_t chunk_size = 0;
-
-  /// Evaluate cells through the legacy per-word Evaluate() loop
-  /// instead of EvaluateBatched(). Both paths produce identical
-  /// results — the CI bench-regression job byte-diffs their --json
-  /// documents — so this exists for A/B timing and as the fallback of
-  /// last resort.
-  bool per_word = false;
 };
 
 /// Run every named code over every stream (from codec reset each time,
-/// decode-verified). `configure` may adjust the options per codec name
-/// (e.g. a stride per bus); by default all codes share `options`.
+/// decode-verified, through EvaluateBatched). `configure` may adjust the
+/// options per codec name (e.g. a stride per bus); by default all codes
+/// share `options`.
 ///
 /// With `run.parallelism != 1` the cells are sharded across a
 /// ThreadPool; `configure` is then invoked concurrently from worker

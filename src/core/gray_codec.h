@@ -40,21 +40,13 @@ class GrayCodec final : public Codec {
   //   (BinaryToGray(b) & ~low) | (b & low)
   // because (b >> s) ^ (b >> (s+1)) re-shifted left by s is just
   // b ^ (b >> 1) with the low s bits cleared. Stateless, like Encode.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
-    if (in.empty()) return;
-    const Word mask = LowMask(width());
-    const Word low_mask = LowMask(shift_);
-    simd::ActiveKernels().gray(simd::ViewAddresses(in.data()), in.size(),
-                               mask, low_mask, mask & ~low_mask, out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* /*sel*/,
-                     std::size_t n, std::span<BusState> out) override {
     if (n == 0) return;
     const Word mask = LowMask(width());
     const Word low_mask = LowMask(shift_);
-    simd::ActiveKernels().gray(simd::AddressView{addresses, 1}, n, mask,
-                               low_mask, mask & ~low_mask, out.data());
+    simd::ActiveKernels().gray(in.addresses, n, mask, low_mask,
+                               mask & ~low_mask, out.data());
   }
 
   Word Decode(const BusState& bus, bool /*sel*/) override {

@@ -41,19 +41,12 @@ class IncXorCodec final : public Codec {
   // Devirtualized block kernel, routed through the active SIMD backend
   // (the AVX2 table turns the running XOR into an in-register
   // prefix-XOR); the encoder registers carry across calls.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
-    if (in.empty()) return;
-    simd::ActiveKernels().inc_xor(simd::ViewAddresses(in.data()), in.size(),
-                                  LowMask(width()), stride_, &enc_prev_addr_,
-                                  &enc_prev_bus_, out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* /*sel*/,
-                     std::size_t n, std::span<BusState> out) override {
     if (n == 0) return;
-    simd::ActiveKernels().inc_xor(simd::AddressView{addresses, 1}, n,
-                                  LowMask(width()), stride_, &enc_prev_addr_,
-                                  &enc_prev_bus_, out.data());
+    simd::ActiveKernels().inc_xor(in.addresses, n, LowMask(width()), stride_,
+                                  &enc_prev_addr_, &enc_prev_bus_,
+                                  out.data());
   }
 
   Word Decode(const BusState& bus, bool /*sel*/) override {

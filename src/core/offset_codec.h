@@ -31,17 +31,11 @@ class OffsetCodec final : public Codec {
   // Devirtualized block kernel, routed through the active SIMD backend:
   // encoder-side b(t-1) is carried in *enc_prev_ across calls, so
   // chunked encoding chains bit-identically with the per-word path.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
-    if (in.empty()) return;
-    simd::ActiveKernels().offset(simd::ViewAddresses(in.data()), in.size(),
-                                 LowMask(width()), &enc_prev_, out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* /*sel*/,
-                     std::size_t n, std::span<BusState> out) override {
     if (n == 0) return;
-    simd::ActiveKernels().offset(simd::AddressView{addresses, 1}, n,
-                                 LowMask(width()), &enc_prev_, out.data());
+    simd::ActiveKernels().offset(in.addresses, n, LowMask(width()),
+                                 &enc_prev_, out.data());
   }
 
   Word Decode(const BusState& bus, bool /*sel*/) override {

@@ -1,4 +1,4 @@
-// Scalar reference kernels: the PR 5 EncodeBlock loop bodies and the
+// Scalar reference kernels: the codecs' original block-encode loops and the
 // XOR+popcount transition sweep, lifted verbatim so every SIMD backend
 // has a bit-exact oracle (and a tail/fallback) to defer to.
 #include <bit>

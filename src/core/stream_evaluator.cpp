@@ -7,7 +7,6 @@
 
 #include "core/codec_factory.h"
 #include "core/codec_kernel.h"
-#include "core/simd/kernel_dispatch.h"
 #include "core/trace_source.h"
 #include "obs/metrics.h"
 
@@ -51,6 +50,19 @@ double InSequencePercent(std::span<const BusAccess> stream, Word stride,
          static_cast<double>(stream.size() - 1);
 }
 
+void FoldSegment(EvalResult& total, const EvalResult& segment) {
+  total.stream_length += segment.stream_length;
+  total.transitions += segment.transitions;
+  total.peak_transitions =
+      std::max(total.peak_transitions, segment.peak_transitions);
+  if (segment.per_line.size() > total.per_line.size()) {
+    total.per_line.resize(segment.per_line.size(), 0);
+  }
+  for (std::size_t line = 0; line < segment.per_line.size(); ++line) {
+    total.per_line[line] += segment.per_line[line];
+  }
+}
+
 EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
                     Word stride_for_stats, bool verify_decode) {
   codec.Reset();
@@ -75,50 +87,6 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
   return result;
 }
 
-EvalResult EvaluateWithResets(Codec& codec, std::span<const BusAccess> stream,
-                              std::span<const std::size_t> reset_points,
-                              Word stride_for_stats, bool verify_decode) {
-  codec.Reset();
-  TransitionCounter counter(codec.width(), codec.redundant_lines());
-  EvalResult result;
-  result.codec_name = codec.name();
-  result.stream_length = stream.size();
-  result.per_line.assign(codec.width() + codec.redundant_lines(), 0);
-
-  auto fold_segment = [&]() {
-    result.transitions += counter.total();
-    result.peak_transitions =
-        std::max(result.peak_transitions, counter.peak());
-    for (std::size_t line = 0; line < result.per_line.size(); ++line) {
-      result.per_line[line] += counter.per_line()[line];
-    }
-  };
-
-  std::size_t next_reset = 0;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    while (next_reset < reset_points.size() &&
-           reset_points[next_reset] <= i) {
-      if (reset_points[next_reset] == i && i != 0) {
-        fold_segment();
-        codec.Reset();
-        counter.Reset();
-      }
-      ++next_reset;
-    }
-    const BusState state = codec.Encode(stream[i].address, stream[i].sel);
-    counter.Observe(state);
-    if (verify_decode) {
-      const Word decoded = codec.Decode(state, stream[i].sel);
-      const Word expected = stream[i].address & LowMask(codec.width());
-      if (decoded != expected) ThrowDecodeMismatch(codec, decoded, expected);
-    }
-  }
-  fold_segment();
-  result.in_sequence_percent =
-      InSequencePercent(stream, stride_for_stats, codec.width());
-  return result;
-}
-
 EvalResult EvaluateWithSchedule(const std::string& initial_codec,
                                 const CodecOptions& options,
                                 std::span<const BusAccess> stream,
@@ -131,40 +99,41 @@ EvalResult EvaluateWithSchedule(const std::string& initial_codec,
           "EvaluateWithSchedule: switch schedule not ascending");
     }
   }
+  for (std::size_t i = 1; i < reset_points.size(); ++i) {
+    if (reset_points[i] < reset_points[i - 1]) {
+      throw std::invalid_argument(
+          "EvaluateWithSchedule: reset points not ascending");
+    }
+  }
   EvalResult result;
-  result.stream_length = stream.size();
   std::string active = initial_codec;
   std::size_t start = 0;
-  std::size_t next_switch = 0;
-  while (true) {
-    const bool last = next_switch >= switches.size();
+  std::size_t next_reset = 0;
+  for (std::size_t next_switch = 0;; ++next_switch) {
+    const bool last = next_switch == switches.size();
     const std::size_t end =
         last ? stream.size()
              : std::min(switches[next_switch].index, stream.size());
-    // Every segment runs — an empty one still contributes its codec's
-    // line geometry, matching a session whose switch applied with no
-    // traffic after it (the per-line histogram zero-extends either way).
-    CodecPtr codec = MakeCodec(active, options);
-    std::vector<std::size_t> local;
-    for (const std::size_t point : reset_points) {
-      if (point > start && point < end) local.push_back(point - start);
-    }
-    const EvalResult segment =
-        EvaluateWithResets(*codec, stream.subspan(start, end - start), local,
-                           stride_for_stats, verify_decode);
-    result.transitions += segment.transitions;
-    result.peak_transitions =
-        std::max(result.peak_transitions, segment.peak_transitions);
-    if (segment.per_line.size() > result.per_line.size()) {
-      result.per_line.resize(segment.per_line.size(), 0);
-    }
-    for (std::size_t line = 0; line < segment.per_line.size(); ++line) {
-      result.per_line[line] += segment.per_line[line];
-    }
+    // Cut the switch segment at its reset points. The first piece runs
+    // even when empty, so the segment's codec contributes its line
+    // geometry (a switch with no traffic after it, as a session reports).
+    std::size_t from = start;
+    do {
+      while (next_reset < reset_points.size() &&
+             reset_points[next_reset] <= from) {
+        ++next_reset;
+      }
+      const std::size_t to = next_reset < reset_points.size()
+                                 ? std::min(reset_points[next_reset], end)
+                                 : end;
+      const CodecPtr codec = MakeCodec(active, options);
+      FoldSegment(result, Evaluate(*codec, stream.subspan(from, to - from),
+                                   stride_for_stats, verify_decode));
+      from = to;
+    } while (from < end);
     if (last) break;
     active = switches[next_switch].codec_name;
     start = end;
-    ++next_switch;
   }
   result.codec_name = active;
   result.in_sequence_percent =
@@ -177,66 +146,46 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
                            std::size_t chunk_size) {
   if (chunk_size == 0) chunk_size = kDefaultChunkSize;
   codec.Reset();
-  const unsigned width = codec.width();
-  const Word mask = LowMask(width);
+  const Word mask = LowMask(codec.width());
   const std::size_t length = source.size();
 
   obs::MetricsRegistry* registry = obs::Installed();
   const double start = registry ? obs::MonotonicSeconds() : 0.0;
 
-  BlockTransitionAccumulator accumulator(width, codec.redundant_lines());
+  BlockTransitionAccumulator accumulator(codec.width(),
+                                         codec.redundant_lines(),
+                                         stride_for_stats);
   const std::size_t chunk =
       std::min<std::size_t>(chunk_size, std::max<std::size_t>(length, 1));
-  std::vector<BusAccess> in;  // allocated only if a chunk needs copying
+  std::vector<BusAccess> rows;  // allocated only if a chunk needs copying
   std::vector<BusState> out(chunk);
-  const simd::KernelTable& kernels = simd::ActiveKernels();
-
-  // In-sequence accounting carried across chunk boundaries: the exact
-  // predicate of InSequencePercent, with b(t-1) kept unmasked like the
-  // stream entries it reads.
-  std::size_t in_seq = 0;
-  Word prev_address = 0;
-  bool has_prev = false;
   std::size_t chunks = 0;
   std::size_t columnar_chunks = 0;
 
   std::size_t offset = 0;
   while (offset < length) {
-    // Zero-copy fast path: columnar sources (the mmap trace reader,
-    // ColumnarTraceSource) expose their storage directly and the chunk
-    // flows through EncodeColumns without materializing BusAccess
-    // records; everything else is copied out via Read(). Both paths are
-    // bit-identical by the EncodeColumns contract.
+    // One view over either layout: columnar sources (the mmap trace
+    // reader, ColumnarTraceSource) expose their storage in place; any
+    // other source is copied out via Read() and read as BusAccess rows.
     TraceColumns columns;
     std::size_t n = source.ViewColumns(offset, chunk, &columns);
-    const BusAccess* accesses = nullptr;
-    if (n == 0) {
-      if (in.empty()) in.resize(chunk);
-      n = source.Read(offset, in);
-      if (n == 0) break;  // a short source; size() was an overestimate
-      accesses = in.data();
-    } else {
+    AccessView view;
+    if (n != 0) {
+      view = AccessView::Columns(columns.addresses, columns.sel);
       ++columnar_chunks;
+    } else {
+      if (rows.empty()) rows.resize(chunk);
+      n = source.Read(offset, rows);
+      if (n == 0) break;  // a short source; size() was an overestimate
+      view = AccessView::Rows(rows.data());
     }
     const std::span<BusState> states(out.data(), n);
-    if (accesses != nullptr) {
-      codec.EncodeBlock(std::span<const BusAccess>(accesses, n), states);
-      kernels.in_seq(simd::ViewAddresses(accesses), n, mask,
-                     stride_for_stats, &prev_address, &has_prev, &in_seq);
-    } else {
-      codec.EncodeColumns(columns.addresses, columns.sel, n, states);
-      kernels.in_seq(simd::AddressView{columns.addresses, 1}, n, mask,
-                     stride_for_stats, &prev_address, &has_prev, &in_seq);
-    }
-    accumulator.Consume(states);
+    codec.EncodeBatch(view, n, states);
+    accumulator.Consume(states, view.addresses);
     if (verify_decode) {
       for (std::size_t i = 0; i < n; ++i) {
-        const bool sel =
-            accesses != nullptr ? accesses[i].sel : columns.sel[i] != 0;
-        const Word address =
-            accesses != nullptr ? accesses[i].address : columns.addresses[i];
-        const Word decoded = codec.Decode(states[i], sel);
-        const Word expected = address & mask;
+        const Word decoded = codec.Decode(states[i], view.sel_at(i));
+        const Word expected = view.address(i) & mask;
         if (decoded != expected) {
           ThrowDecodeMismatch(codec, decoded, expected);
         }
@@ -246,39 +195,21 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
     ++chunks;
   }
 
+  EvalResult result = accumulator.Result();
+  result.codec_name = codec.name();
   if (registry) {
     registry->GetCounter("evaluator.batched.chunks").Increment(chunks);
     registry->GetCounter("evaluator.batched.columnar_chunks")
         .Increment(columnar_chunks);
     registry->GetCounter("evaluator.batched.words")
-        .Increment(accumulator.cycles());
+        .Increment(result.stream_length);
     const double elapsed = obs::MonotonicSeconds() - start;
     if (elapsed > 0.0) {
       registry->GetGauge("evaluator.batched.words_per_second")
-          .Set(static_cast<double>(accumulator.cycles()) / elapsed);
+          .Set(static_cast<double>(result.stream_length) / elapsed);
     }
   }
-
-  EvalResult result;
-  result.codec_name = codec.name();
-  result.stream_length = accumulator.cycles();
-  result.transitions = accumulator.total();
-  result.peak_transitions = accumulator.peak();
-  result.in_sequence_percent =
-      accumulator.cycles() < 2
-          ? 0.0
-          : 100.0 * static_cast<double>(in_seq) /
-                static_cast<double>(accumulator.cycles() - 1);
-  result.per_line = accumulator.per_line();
   return result;
-}
-
-EvalResult EvaluateBatched(Codec& codec, std::span<const BusAccess> stream,
-                           Word stride_for_stats, bool verify_decode,
-                           std::size_t chunk_size) {
-  const SpanTraceSource source(stream);
-  return EvaluateBatched(codec, source, stride_for_stats, verify_decode,
-                         chunk_size);
 }
 
 std::vector<BusAccess> ToAccesses(std::span<const Word> addresses, bool sel) {

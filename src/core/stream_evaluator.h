@@ -51,7 +51,18 @@ double SavingsPercent(long long transitions, long long binary_transitions);
 double InSequencePercent(std::span<const BusAccess> stream, Word stride,
                          unsigned width);
 
-/// Run `codec` over `stream` from reset and collect metrics.
+/// Fold one finished segment of a stream into `total`: transitions and
+/// stream lengths sum, peaks max, and the per-line histograms add
+/// element-wise, zero-extended to the wider line geometry (a codec
+/// switch may change it). Codec name and in-sequence percentage are
+/// untouched — the latter is a property of the whole stream. This is the
+/// one fold behind BlockTransitionAccumulator (core/codec_kernel.h) and
+/// EvaluateWithSchedule.
+void FoldSegment(EvalResult& total, const EvalResult& segment);
+
+/// Run `codec` over `stream` from reset and collect metrics, one word at
+/// a time through Encode() and a TransitionCounter — the independent
+/// reference every batched path is checked against.
 /// If `verify_decode` is set, every encoded state is also pushed through
 /// the codec's decoder and checked against the original address; a
 /// mismatch throws std::logic_error (used by the test-suite and as a
@@ -60,10 +71,13 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
                     Word stride_for_stats = 4, bool verify_decode = false);
 
 /// The batched hot path: run `codec` over the stream in fixed-size
-/// chunks — Codec::EncodeBlock per chunk (one virtual dispatch per
-/// chunk; the high-traffic codes install devirtualized kernels), then a
-/// word-parallel XOR+popcount transition sweep over the encoded block
-/// (core/codec_kernel.h).
+/// chunks — Codec::EncodeBatch per chunk (one virtual dispatch per
+/// chunk; the high-traffic codes install SIMD kernels), then the
+/// BlockTransitionAccumulator's word-parallel XOR+popcount sweep over
+/// the encoded block (core/codec_kernel.h). Columnar sources are read in
+/// place through TraceSource::ViewColumns; any other source is copied
+/// out chunk by chunk via Read(). A materialized stream enters through
+/// SpanTraceSource.
 ///
 /// Bit-identity guarantee: for every chunk size the returned EvalResult
 /// is *identical* to Evaluate() on the same stream — transitions, peak,
@@ -71,7 +85,7 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
 /// throw behaviour all match. The contract is enforced for all factory
 /// codecs by the `batched-identity` universal verify property and
 /// tests/stream_evaluator_test, which is what lets the experiment
-/// engine and the committed bench baselines switch onto this path with
+/// engine and the committed bench baselines run on this path with
 /// byte-identical outputs.
 ///
 /// `chunk_size == 0` selects kDefaultChunkSize (core/codec_kernel.h).
@@ -81,32 +95,6 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
                            Word stride_for_stats = 4,
                            bool verify_decode = false,
                            std::size_t chunk_size = 0);
-
-/// Convenience overload over a materialized stream.
-EvalResult EvaluateBatched(Codec& codec, std::span<const BusAccess> stream,
-                           Word stride_for_stats = 4,
-                           bool verify_decode = false,
-                           std::size_t chunk_size = 0);
-
-/// Serial reference for accounting across codec-state teardowns: exactly
-/// Evaluate(), except the codec and the power-on transition baseline are
-/// returned to the reset state immediately before each stream index in
-/// `reset_points` (ascending; out-of-range and duplicate points are
-/// no-ops). Segments are therefore independent Evaluate() runs whose
-/// transition totals, per-line histograms and stream lengths sum and
-/// whose peaks max; the in-sequence percentage remains a property of the
-/// whole stream, as in Evaluate().
-///
-/// This is the contract an encoding-service session honours when it is
-/// evicted at index k and later re-admitted (src/service/session.h): by
-/// the reset-replay property (src/verify/properties.h) a freshly
-/// constructed codec encodes identically to a Reset() one, so the
-/// session's lifetime accounting must equal
-/// EvaluateWithResets(stream, {k}).
-EvalResult EvaluateWithResets(Codec& codec, std::span<const BusAccess> stream,
-                              std::span<const std::size_t> reset_points,
-                              Word stride_for_stats = 4,
-                              bool verify_decode = false);
 
 /// One entry of a session's codec-switch schedule: from lifetime access
 /// `index` onward the stream is encoded by `codec_name`, built fresh
@@ -120,21 +108,31 @@ struct CodecSwitchPoint {
   bool operator==(const CodecSwitchPoint&) const = default;
 };
 
-/// Serial reference for a session whose codec was renegotiated
-/// mid-stream: segment [switches[i].index, switches[i+1].index) is an
-/// independent EvaluateWithResets() run of a freshly built
-/// switches[i].codec_name (the stream up to the first switch uses
-/// `initial_codec`). `reset_points` are the session's eviction/resync
-/// teardowns and may fall anywhere; a reset point equal to a segment
-/// start is a no-op (the codec there is already fresh). Folding matches
-/// EvaluateWithResets: transitions and stream lengths sum, peaks max,
-/// per-line histograms sum element-wise zero-extended to the widest
-/// segment geometry, and the in-sequence percentage remains a property
-/// of the whole stream. `switches` must be ascending by index.
+/// Serial reference for accounting across codec-state teardowns: the
+/// oracle an encoding-service session is checked against.
 ///
-/// An empty schedule degenerates to EvaluateWithResets(initial_codec),
-/// which is why the soak harnesses can verify renegotiated and
-/// untouched sessions through the same call.
+/// The stream is cut at every switch index and every reset point; each
+/// piece is an independent per-word Evaluate() of a freshly built codec
+/// — `initial_codec` up to the first switch, then switches[i].codec_name
+/// from switches[i].index on — and the pieces are combined with
+/// FoldSegment(). The in-sequence percentage remains a property of the
+/// whole stream, exactly as in Evaluate().
+///
+/// `reset_points` are the session's eviction/resync teardowns and may
+/// fall anywhere; a point at a piece's start (including index 0 and a
+/// switch index) or past the end of the stream is a no-op, and so is a
+/// repeated point. This is the contract a session honours when it is
+/// evicted at index k and later re-admitted (src/service/session.h): by
+/// the reset-replay property (src/verify/properties.h) a freshly
+/// constructed codec encodes identically to a Reset() one. Every switch
+/// piece runs, even an empty one, so a switch with no traffic after it
+/// still contributes its codec's line geometry to the histogram.
+///
+/// Both lists are replayed from a server's STATS reply, so a malformed
+/// one is refused rather than mis-folded: `switches` must be ascending
+/// by index and `reset_points` ascending (std::invalid_argument
+/// otherwise). With both empty the metrics are Evaluate()'s of a fresh
+/// `initial_codec`.
 EvalResult EvaluateWithSchedule(const std::string& initial_codec,
                                 const CodecOptions& options,
                                 std::span<const BusAccess> stream,

@@ -50,19 +50,12 @@ class T0Codec final : public Codec {
   // first-word flag) carry across calls, so any chunking reproduces the
   // per-word trajectory exactly — including the verbatim first word
   // after Reset.
-  void EncodeBlock(std::span<const BusAccess> in,
+  void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
-    if (in.empty()) return;
-    simd::ActiveKernels().t0(simd::ViewAddresses(in.data()), in.size(),
-                             LowMask(width()), stride_, &enc_has_prev_,
-                             &enc_prev_addr_, &enc_prev_bus_, out.data());
-  }
-  void EncodeColumns(const Word* addresses, const std::uint8_t* /*sel*/,
-                     std::size_t n, std::span<BusState> out) override {
     if (n == 0) return;
-    simd::ActiveKernels().t0(simd::AddressView{addresses, 1}, n,
-                             LowMask(width()), stride_, &enc_has_prev_,
-                             &enc_prev_addr_, &enc_prev_bus_, out.data());
+    simd::ActiveKernels().t0(in.addresses, n, LowMask(width()), stride_,
+                             &enc_has_prev_, &enc_prev_addr_, &enc_prev_bus_,
+                             out.data());
   }
 
   Word Decode(const BusState& bus, bool /*sel*/) override {

@@ -2,7 +2,7 @@
 // concurrent wire clients, seeded disconnect injection and a
 // malformed-frame fuzz swarm — then every session's server-side
 // accounting, read back over the wire, is checked bit-for-bit against a
-// serial EvaluateWithResets() of the identical stream.
+// serial EvaluateWithSchedule() of the identical stream.
 //
 // What one run proves (the ISSUE's acceptance bar):
 //  - bit-identity across the wire: the STATS reply of every session

@@ -8,7 +8,7 @@
 // ATTACH), runs --fuzz hostile connections through the protocol
 // violation catalogue concurrently, then verifies every session's
 // wire-reported accounting bit-for-bit against a serial
-// EvaluateWithResets() of the identical stream.
+// EvaluateWithSchedule() of the identical stream.
 //
 // Exit status: 0 soak passed; 1 verification failures; 2 time budget
 // exceeded or bad usage. See EXPERIMENTS.md for the flag reference.

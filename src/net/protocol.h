@@ -331,7 +331,7 @@ struct DrainStatsRequest {
 };
 
 /// The full server-side accounting of one session — enough for a client
-/// to recompute the serial EvaluateWithResets oracle bit-for-bit.
+/// to recompute the serial EvaluateWithSchedule oracle bit-for-bit.
 struct StatsReply {
   std::uint64_t session_id = 0;
   std::uint8_t state = 0;  // 0 active, 1 evicted

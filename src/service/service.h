@@ -26,8 +26,8 @@
 //    wedged driver cannot block destruction forever (it is abandoned
 //    and the pool's backlog discarded).
 //  - Results are ground truth: every session's accounting is
-//    bit-identical to a serial Evaluate()/EvaluateWithResets() of its
-//    stream regardless of channel faults, shard scheduling, failover or
+//    bit-identical to a serial EvaluateWithSchedule() of its stream
+//    regardless of channel faults, shard scheduling, failover or
 //    eviction — the property the service_soak harness pins at scale.
 #pragma once
 

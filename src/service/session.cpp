@@ -81,14 +81,21 @@ Session::Session(std::uint64_t id, SessionConfig config,
       config_(std::move(config)),
       metrics_(metrics),
       mask_(LowMask(config_.codec_options.width)),
+      acc_codec_(MakeCodec(config_.codec_name, config_.codec_options)),
+      accounting_(acc_codec_->width(), acc_codec_->redundant_lines(),
+                  config_.stride_for_stats),
+      acc_codec_name_(acc_codec_->name()),
+      active_codec_name_(config_.codec_name),
       stats_tracker_(config_.codec_options.width, config_.stride_for_stats,
                      config_.stats_window) {
-  active_codec_name_ = config_.codec_name;
-  acc_codec_ = MakeCodec(config_.codec_name, config_.codec_options);
-  counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
-  folded_.codec_name = acc_codec_->name();
-  folded_.per_line.assign(
-      acc_codec_->width() + acc_codec_->redundant_lines(), 0);
+  BuildTransport();
+}
+
+void Session::BuildFsms() {
+  acc_codec_ = MakeCodec(active_codec_name_, config_.codec_options);
+  accounting_.StartSegment(acc_codec_->width(),
+                           acc_codec_->redundant_lines());
+  acc_codec_name_ = acc_codec_->name();
   BuildTransport();
 }
 
@@ -248,23 +255,14 @@ void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,
 
 void Session::ProcessRun(const Word* addresses, const std::uint8_t* sel,
                          std::size_t count) {
-  // Accounting: the transmitter-side FSM through its columnar batched
-  // path (SIMD kernels), bit-identical to per-word Encode by the
-  // batched-identity property.
+  // Accounting: the transmitter-side FSM through its batched path (SIMD
+  // kernels) into the stream accumulator — EvaluateBatched's arithmetic,
+  // bit-identical to per-word Encode by the batched-identity property.
   states_.resize(count);
-  acc_codec_->EncodeColumns(addresses, sel, count,
-                            std::span<BusState>(states_.data(), count));
-  for (std::size_t k = 0; k < count; ++k) {
-    counter_->Observe(states_[k]);
-    if (has_prev_ &&
-        (addresses[k] & mask_) ==
-            ((prev_address_ + config_.stride_for_stats) & mask_)) {
-      ++in_seq_;
-    }
-    prev_address_ = addresses[k];
-    has_prev_ = true;
-    stats_tracker_.Observe(addresses[k], sel[k] != 0);
-  }
+  const std::span<BusState> states(states_.data(), count);
+  acc_codec_->EncodeColumns(addresses, sel, count, states);
+  accounting_.Consume(states, simd::AddressView{addresses, 1});
+  stats_tracker_.ObserveColumns(addresses, sel, count);
   processed_.fetch_add(count, std::memory_order_relaxed);
   for (std::size_t k = 0; k < count; ++k) {
     TransferOne(addresses[k], sel[k] != 0);
@@ -323,7 +321,6 @@ bool Session::Evict() {
   std::lock_guard<std::mutex> drain(drain_mutex_);
   std::lock_guard<std::mutex> queue(queue_mutex_);
   if (state_ != SessionState::kActive || !queue_.empty()) return false;
-  FoldSegment();
   reset_points_.push_back(
       static_cast<std::size_t>(processed_.load(std::memory_order_relaxed)));
   acc_codec_.reset();
@@ -336,36 +333,15 @@ bool Session::Evict() {
 void Session::Readmit() {
   // drain_mutex_ held. A fresh FSM encodes exactly like a Reset() one
   // (the reset-replay property), so accounting from here on is the next
-  // EvaluateWithResets() segment.
-  acc_codec_ = MakeCodec(active_codec_name_, config_.codec_options);
-  // A renegotiation while evicted may have changed the line geometry, so
-  // rebuild the counter rather than Reset() it.
-  counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
-  folded_.codec_name = acc_codec_->name();
-  BuildTransport();
+  // EvaluateWithSchedule() segment — with the line geometry of whatever
+  // codec a renegotiation while evicted left active.
+  BuildFsms();
   {
     std::lock_guard<std::mutex> queue(queue_mutex_);
     state_ = SessionState::kActive;
   }
   ++readmissions_;
   Bump(metrics_->sessions_readmitted);
-}
-
-void Session::FoldSegment() {
-  folded_.transitions += counter_->total();
-  folded_.peak_transitions =
-      std::max(folded_.peak_transitions, counter_->peak());
-  const std::vector<long long>& segment = counter_->per_line();
-  // Renegotiation can change the line geometry between segments; the
-  // lifetime histogram zero-extends to the widest one, exactly like
-  // EvaluateWithSchedule's fold.
-  if (segment.size() > folded_.per_line.size()) {
-    folded_.per_line.resize(segment.size(), 0);
-  }
-  for (std::size_t line = 0; line < segment.size(); ++line) {
-    folded_.per_line[line] += segment[line];
-  }
-  counter_->Reset();
 }
 
 RenegotiateOutcome Session::Renegotiate(const std::string& codec_name) {
@@ -421,21 +397,12 @@ RenegotiateOutcome Session::Renegotiate(const std::string& codec_name) {
 
 void Session::ApplySwitchLocked(const std::string& codec_name) {
   const std::uint64_t index = processed_.load(std::memory_order_relaxed);
+  active_codec_name_ = codec_name;
+  // When evicted, the FSMs are torn down and the eviction already logged
+  // this index as a reset point — Readmit builds the new codec.
   if (state_ == SessionState::kActive) {
-    FoldSegment();
     reset_points_.push_back(static_cast<std::size_t>(index));
-    active_codec_name_ = codec_name;
-    acc_codec_ = MakeCodec(codec_name, config_.codec_options);
-    counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
-    const std::size_t lines =
-        acc_codec_->width() + acc_codec_->redundant_lines();
-    if (folded_.per_line.size() < lines) folded_.per_line.resize(lines, 0);
-    folded_.codec_name = acc_codec_->name();
-    BuildTransport();
-  } else {
-    // Evicted: the FSMs are torn down and the eviction already logged
-    // this index as a reset point — Readmit builds the new codec.
-    active_codec_name_ = codec_name;
+    BuildFsms();
   }
   renegotiations_.push_back(
       CodecSwitchPoint{static_cast<std::size_t>(index), codec_name});
@@ -464,7 +431,7 @@ SessionReport Session::Report() const {
   std::lock_guard<std::mutex> queue(queue_mutex_);
   SessionReport report;
   report.id = id_;
-  report.codec_name = folded_.codec_name;
+  report.codec_name = acc_codec_name_;
   report.state = state_;
   report.input_closed = input_closed_;
   report.degraded = ever_degraded_;
@@ -476,27 +443,8 @@ SessionReport Session::Report() const {
   report.rejected_batches = rejected_batches_;
   report.peak_queue_depth = peak_queue_depth_;
 
-  EvalResult result = folded_;
-  if (counter_) {
-    result.transitions += counter_->total();
-    result.peak_transitions =
-        std::max(result.peak_transitions, counter_->peak());
-    const std::vector<long long>& segment = counter_->per_line();
-    if (segment.size() > result.per_line.size()) {
-      result.per_line.resize(segment.size(), 0);
-    }
-    for (std::size_t line = 0; line < segment.size(); ++line) {
-      result.per_line[line] += segment[line];
-    }
-  }
-  const std::uint64_t processed =
-      processed_.load(std::memory_order_relaxed);
-  result.stream_length = static_cast<std::size_t>(processed);
-  result.in_sequence_percent =
-      processed < 2 ? 0.0
-                    : 100.0 * static_cast<double>(in_seq_) /
-                          static_cast<double>(processed - 1);
-  report.result = std::move(result);
+  report.result = accounting_.Result();
+  report.result.codec_name = acc_codec_name_;
   return report;
 }
 

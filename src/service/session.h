@@ -20,8 +20,9 @@
 //    logged, and re-admission builds a fresh FSM. By the reset-replay
 //    property (src/verify/properties.h) a fresh codec encodes exactly
 //    like a Reset() one, so lifetime accounting of an evicted session
-//    equals EvaluateWithResets(stream, reset_points) — the contract
-//    tests/service_test.cpp and the soak harness pin.
+//    equals EvaluateWithSchedule(codec, options, stream, {},
+//    reset_points) — the contract tests/service_test.cpp and the soak
+//    harness pin.
 //
 // The degradation ladder for one access whose delivery fails
 // (receiver's word != transmitted address, or the protection layer
@@ -42,9 +43,11 @@
 //
 // Accounting (the EvalResult the session reports — the paper's metrics)
 // is computed on the transmitter-side FSM and is therefore unaffected by
-// wire faults: the soak harness asserts it is bit-identical to a serial
-// Evaluate()/EvaluateWithResets() of the same stream no matter what was
-// injected on the channel.
+// wire faults. It runs the same BlockTransitionAccumulator as
+// EvaluateBatched, one segment per fresh FSM, and the soak harness
+// asserts it is bit-identical to the serial per-word
+// EvaluateWithSchedule() of the same stream no matter what was injected
+// on the channel.
 //
 // Locking: `queue_mutex_` guards the client side (queue, input_closed_,
 // admission bookkeeping); `drain_mutex_` guards the processing side
@@ -69,8 +72,8 @@
 #include "channel/bus_channel.h"
 #include "core/adaptive_codec.h"
 #include "core/codec_factory.h"
+#include "core/codec_kernel.h"
 #include "core/stream_evaluator.h"
-#include "core/transition_counter.h"
 #include "obs/metrics.h"
 
 namespace abenc::service {
@@ -236,7 +239,8 @@ struct SessionReport {
   bool input_closed = false;
   bool degraded = false;  // transport ever demoted to binary
   /// Accounting over everything processed so far; bit-identical to
-  /// EvaluateWithResets(stream, reset_points) on the submitted stream.
+  /// EvaluateWithSchedule(codec, options, stream, renegotiations,
+  /// reset_points) on the submitted stream.
   EvalResult result;
   TransportCounters transport;
   /// Stream indices where the codec FSM was torn down (evictions).
@@ -328,9 +332,10 @@ class Session {
 
   // -- lifecycle --
 
-  /// Deterministic teardown: folds the live accounting segment, logs the
-  /// reset point and destroys the codec FSM and channel. Only an active
-  /// session with an empty queue can be evicted; returns whether it was.
+  /// Deterministic teardown: logs the reset point and destroys the codec
+  /// FSM and channel (re-admission opens the next accounting segment).
+  /// Only an active session with an empty queue can be evicted; returns
+  /// whether it was.
   bool Evict();
 
   SessionState state() const;
@@ -341,22 +346,24 @@ class Session {
 
  private:
   void BuildTransport();  // channel + fault models (drain_mutex_ held)
-  void Readmit();         // fresh FSMs after eviction (drain_mutex_ held)
-  void FoldSegment();     // live counter -> folded_ (drain_mutex_ held)
+  // Fresh accounting FSM on active_codec_name_, opening the next
+  // accounting segment, plus a fresh transport (drain_mutex_ held).
+  void BuildFsms();
+  void Readmit();  // fresh FSMs after eviction (drain_mutex_ held)
   // Process `count` accesses, splitting runs at a pending codec switch
   // (drain_mutex_ held).
   void ProcessColumns(const Word* addresses, const std::uint8_t* sel,
                       std::size_t count);
-  // One switch-free run: batched accounting via EncodeColumns, then the
-  // per-access transport ladder.
+  // One switch-free run: batched accounting (EncodeColumns into the
+  // stream accumulator), then the per-access transport ladder.
   void ProcessRun(const Word* addresses, const std::uint8_t* sel,
                   std::size_t count);
   // Deliver one access over the channel and walk the recovery ladder.
   void TransferOne(Word address, bool sel);
-  // Apply a codec switch at the current processed index: fold the
-  // segment, log the switch, rebuild the accounting FSM + transport on
-  // the new codec (drain_mutex_ held; a name change only when evicted —
-  // Readmit builds the new codec lazily).
+  // Apply a codec switch at the current processed index: log the
+  // switch and rebuild the FSMs on the new codec, opening a new
+  // accounting segment (drain_mutex_ held; a name change only when
+  // evicted — Readmit builds the new codec lazily).
   void ApplySwitchLocked(const std::string& codec_name);
 
   const std::uint64_t id_;
@@ -380,8 +387,10 @@ class Session {
   mutable std::mutex drain_mutex_;
   CodecPtr acc_codec_;  // transmitter-side accounting FSM (ground truth)
   std::unique_ptr<BusChannel> channel_;
-  std::optional<TransitionCounter> counter_;  // live segment
-  EvalResult folded_;                         // previous segments, summed
+  // Lifetime accounting, one segment per accounting FSM, and that FSM's
+  // name() for the report (it outlives the FSM across an eviction).
+  BlockTransitionAccumulator accounting_;
+  std::string acc_codec_name_;
   std::vector<ColumnBatch> drained_;          // popped batches (moved, not copied)
   std::vector<BusState> states_;              // EncodeColumns output scratch
   std::string active_codec_name_;             // factory name, post-switches
@@ -394,9 +403,6 @@ class Session {
   bool degraded_ = false;       // ladder rung 3 taken on current FSMs
   bool ever_degraded_ = false;  // sticky, for the report
   std::uint64_t readmissions_ = 0;
-  std::uint64_t in_seq_ = 0;  // stream statistic; survives eviction
-  Word prev_address_ = 0;
-  bool has_prev_ = false;
 
   // Cross-thread progress signals.
   std::atomic<std::size_t> queued_{0};

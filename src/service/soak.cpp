@@ -357,9 +357,8 @@ SoakOutcome RunSoak(const SoakOptions& options) {
   service.Stop();
 
   // Serial verification: every session against EvaluateWithSchedule on
-  // the identical stream (replaying the acked switch schedule; an empty
-  // schedule degenerates to EvaluateWithResets), faults and scheduling
-  // notwithstanding.
+  // the identical stream (replaying the acked switch schedule and the
+  // reset points), faults and scheduling notwithstanding.
   outcome.sessions = plans.size();
   outcome.rejected_batches =
       rejected_total.load(std::memory_order_relaxed);

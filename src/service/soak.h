@@ -4,7 +4,7 @@
 // (optionally) mid-stream codec renegotiation — then every session's
 // accounting is checked bit-for-bit against a serial
 // EvaluateWithSchedule() of the same stream, replaying the acked switch
-// schedule (an empty schedule degenerates to EvaluateWithResets).
+// schedule and the session's reset points.
 //
 // What one soak run proves (the ISSUE's acceptance bar):
 //  - bit-identity: per-session transitions, peak, per-line histogram,

@@ -221,8 +221,8 @@ std::optional<PropertyFailure> CheckBatchedIdentity(
     const CodecPtr batched_codec = factory(codec_name, options);
     EvalResult batched;
     try {
-      batched = EvaluateBatched(*batched_codec, stream, options.stride,
-                                true, chunk);
+      batched = EvaluateBatched(*batched_codec, SpanTraceSource(stream),
+                                options.stride, true, chunk);
     } catch (const std::logic_error& error) {
       return PropertyFailure{
           stream.size(), codec_name + ": EvaluateBatched(chunk=" +
@@ -340,8 +340,8 @@ std::optional<PropertyFailure> CheckKernelDispatchIdentity(
       const CodecPtr span_codec = factory(codec_name, options);
       EvalResult span_result;
       try {
-        span_result = EvaluateBatched(*span_codec, stream, options.stride,
-                                      true, chunk);
+        span_result = EvaluateBatched(*span_codec, SpanTraceSource(stream),
+                                      options.stride, true, chunk);
       } catch (const std::logic_error& error) {
         return PropertyFailure{
             stream.size(),

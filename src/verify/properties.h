@@ -78,7 +78,7 @@ std::optional<PropertyFailure> CheckDecoderLockstep(
 /// chunk size, including degenerate (1), prime (7), sub-block (64) and
 /// overlong (length + 1) chunkings. This is the bit-identity guarantee
 /// that lets the experiment engine and the table benches run on the
-/// devirtualized EncodeBlock kernels while the committed baselines stay
+/// EncodeBatch SIMD kernels while the committed baselines stay
 /// byte-identical.
 std::optional<PropertyFailure> CheckBatchedIdentity(
     const std::string& codec_name, const CodecOptions& options,

@@ -1,7 +1,7 @@
 // Tests of the adaptive meta-codec (src/core/adaptive_codec.h): the
 // decision-replay contract between the two ends, the window-boundary
 // edge cases (switch on the first word after reset, back-to-back
-// switches, window length 1), EvaluateWithResets survival, per-backend
+// switches, window length 1), reset-point survival, per-backend
 // identity of the segmented block paths, and — the acceptance tests of
 // the new decision-replay verify property — two injected protocol bugs
 // (stale window statistics, delayed ESC) each caught at an exact index.
@@ -230,7 +230,7 @@ TEST(AdaptiveBoundaryTest, EveryUniversalPropertyHoldsAtTinyWindows) {
 }
 
 // ---------------------------------------------------------------------------
-// EvaluateWithResets: the service layer's eviction contract
+// Reset points: the service layer's eviction contract
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveResetTest, SurvivesEvaluateWithResets) {
@@ -242,12 +242,13 @@ TEST(AdaptiveResetTest, SurvivesEvaluateWithResets) {
   // a boundary — including one that lands right after a likely switch.
   const std::vector<std::size_t> reset_points = {8, 37, 64, 65, 150};
 
-  const CodecPtr serial = MakeCodec("adaptive", options);
-  const EvalResult with_resets =
-      EvaluateWithResets(*serial, stream, reset_points, 4, true);
+  const EvalResult with_resets = EvaluateWithSchedule(
+      "adaptive", options, stream, {}, reset_points, 4, true);
 
-  // The same segmentation evaluated on fresh instances must agree
-  // exactly: Reset() is indistinguishable from a new codec.
+  // The oracle builds a fresh instance per segment; one instance Reset()
+  // at every cut (Evaluate resets it first) must agree exactly: Reset()
+  // is indistinguishable from a new codec.
+  const CodecPtr reused = MakeCodec("adaptive", options);
   long long transitions = 0;
   int peak = 0;
   std::size_t begin = 0;
@@ -255,9 +256,8 @@ TEST(AdaptiveResetTest, SurvivesEvaluateWithResets) {
   cuts.push_back(stream.size());
   for (const std::size_t cut : cuts) {
     if (cut <= begin || cut > stream.size()) continue;
-    const CodecPtr fresh = MakeCodec("adaptive", options);
     const EvalResult segment = Evaluate(
-        *fresh,
+        *reused,
         std::span<const BusAccess>(stream.data() + begin, cut - begin), 4,
         true);
     transitions += segment.transitions;

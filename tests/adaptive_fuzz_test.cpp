@@ -4,7 +4,7 @@
 // instances in lockstep against an independent reimplementation of the
 // whole protocol — per-window member-codec oracles for the wire,
 // shadow-counter oracles for the decisions — plus a randomly chunked
-// EncodeBlock pass that must be bit-identical to the scalar wire.
+// EncodeBatch pass that must be bit-identical to the scalar wire.
 //
 // Deterministic and seed-replayable: a failure prints the exact
 // environment-variable reproducer for its iteration and the
@@ -264,8 +264,9 @@ void RunIteration(std::uint64_t iteration) {
         << context;
   }
 
-  // Randomly chunked EncodeBlock must reproduce the scalar wire bit for
-  // bit — window boundaries land at every alignment inside chunks.
+  // Randomly chunked EncodeBatch over BusAccess rows must reproduce the
+  // scalar wire bit for bit — window boundaries land at every alignment
+  // inside chunks.
   Chain chunk_chain(MixSeed(c.seed ^ 0xB10C));
   const CodecPtr chunked = MakeCodec("adaptive", options);
   std::vector<BusState> block_out(c.stream.size());
@@ -274,14 +275,13 @@ void RunIteration(std::uint64_t iteration) {
     const std::size_t remaining = c.stream.size() - pos;
     const std::size_t len =
         1 + chunk_chain.Below(std::min<std::size_t>(37, remaining));
-    chunked->EncodeBlock(
-        std::span<const BusAccess>(c.stream.data() + pos, len),
-        std::span<BusState>(block_out.data() + pos, len));
+    chunked->EncodeBatch(AccessView::Rows(c.stream.data() + pos), len,
+                         std::span<BusState>(block_out.data() + pos, len));
     pos += len;
   }
   for (std::size_t t = 0; t < c.stream.size(); ++t) {
     ASSERT_EQ(block_out[t], wire[t])
-        << "chunked EncodeBlock diverged at access " << t << "\n"
+        << "chunked EncodeBatch diverged at access " << t << "\n"
         << context;
   }
 }

@@ -115,12 +115,14 @@ TEST(FactoryCoverageTest, EveryFactoryCodecRunsTheBatchedPaths) {
       expected.push_back(scalar->Encode(access.address, access.sel));
     }
 
-    const CodecPtr blocked = MakeCodec(name);
-    std::vector<BusState> block_out(stream.size());
-    blocked->EncodeBlock(std::span<const BusAccess>(stream),
-                         std::span<BusState>(block_out));
-    EXPECT_EQ(block_out, expected)
-        << name << ": EncodeBlock diverged from scalar Encode";
+    // The one batched entry over both layouts: BusAccess rows read in
+    // place (step 2) and raw columns (step 1).
+    const CodecPtr rows = MakeCodec(name);
+    std::vector<BusState> row_out(stream.size());
+    rows->EncodeBatch(AccessView::Rows(stream.data()), stream.size(),
+                      std::span<BusState>(row_out));
+    EXPECT_EQ(row_out, expected)
+        << name << ": EncodeBatch over rows diverged from scalar Encode";
 
     const CodecPtr columnar = MakeCodec(name);
     std::vector<BusState> column_out(stream.size());
@@ -133,7 +135,7 @@ TEST(FactoryCoverageTest, EveryFactoryCodecRunsTheBatchedPaths) {
     // encoder in the same state a scalar decoder expects.
     const CodecPtr decoder = MakeCodec(name);
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_EQ(decoder->Decode(block_out[i], stream[i].sel),
+      ASSERT_EQ(decoder->Decode(row_out[i], stream[i].sel),
                 stream[i].address & mask)
           << name << ": batched wire failed to decode at access " << i;
     }

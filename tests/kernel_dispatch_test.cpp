@@ -154,8 +154,8 @@ TEST(KernelDispatchTest, EveryBackendIsBitIdenticalOnEveryCodec) {
             codec_name + " backend=" + simd::BackendName(backend);
         ExpectSameResult(
             reference,
-            EvaluateBatched(*MakeCodec(codec_name, options), stream,
-                            options.stride, true),
+            EvaluateBatched(*MakeCodec(codec_name, options),
+                            SpanTraceSource(stream), options.stride, true),
             context + " span");
         ExpectSameResult(
             reference,

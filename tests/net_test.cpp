@@ -517,10 +517,10 @@ TEST(NetServerTest, EndToEndBitIdenticalToSerialOracle) {
   EXPECT_EQ(stats.accepted, stream.size());
   EXPECT_EQ(stats.stream_length, stream.size());
 
-  CodecPtr reference = MakeCodec("t0", CodecOptions{});
   const std::vector<std::size_t> resets(stats.reset_points.begin(),
                                         stats.reset_points.end());
-  const EvalResult expected = EvaluateWithResets(*reference, stream, resets);
+  const EvalResult expected =
+      EvaluateWithSchedule("t0", CodecOptions{}, stream, {}, resets);
   EXPECT_EQ(stats.transitions, expected.transitions);
   EXPECT_EQ(stats.peak_transitions, expected.peak_transitions);
   EXPECT_EQ(stats.in_sequence_percent, expected.in_sequence_percent);
@@ -620,10 +620,10 @@ TEST(NetServerTest, MidFrameDisconnectResumesExactlyOnce) {
   EXPECT_EQ(stats.accepted, stream.size());
   EXPECT_EQ(stats.stream_length, stream.size());
 
-  CodecPtr reference = MakeCodec("bus-invert", CodecOptions{});
   const std::vector<std::size_t> resets(stats.reset_points.begin(),
                                         stats.reset_points.end());
-  const EvalResult expected = EvaluateWithResets(*reference, stream, resets);
+  const EvalResult expected =
+      EvaluateWithSchedule("bus-invert", CodecOptions{}, stream, {}, resets);
   EXPECT_EQ(stats.transitions, expected.transitions);
   EXPECT_EQ(stats.per_line,
             std::vector<long long>(expected.per_line.begin(),

@@ -600,10 +600,10 @@ TEST(RenegotiationWireTest, OldClientCompletesFullSessionUntouched) {
   EXPECT_TRUE(stats.renegotiations.empty());
   EXPECT_TRUE(stats.active_codec.empty());
 
-  CodecPtr reference = MakeCodec("t0", CodecOptions{});
   const std::vector<std::size_t> resets(stats.reset_points.begin(),
                                         stats.reset_points.end());
-  const EvalResult expected = EvaluateWithResets(*reference, stream, resets);
+  const EvalResult expected =
+      EvaluateWithSchedule("t0", CodecOptions{}, stream, {}, resets);
   EXPECT_EQ(stats.transitions, expected.transitions);
   EXPECT_EQ(stats.per_line, expected.per_line);
 

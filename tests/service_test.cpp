@@ -1,8 +1,8 @@
 // The encoding service's robustness contracts: Evaluate()-identical
 // accounting per session, bounded queues with backpressure, the
 // retry/resync/degrade recovery ladder, deterministic eviction +
-// re-admission (the EvaluateWithResets contract), watchdog failover of a
-// wedged shard, and the soak harness end to end.
+// re-admission (EvaluateWithSchedule's reset contract), watchdog
+// failover of a wedged shard, and the soak harness end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -269,8 +269,8 @@ TEST(BackpressureTest, WindowStraddlingBatchAtTheWatermarkReconciles) {
 TEST(EvictionTest, EvictAndReadmitReproducesEvaluateWithResets) {
   // The determinism contract: evicting at index k and re-admitting
   // mid-stream must make the lifetime accounting equal a serial
-  // EvaluateWithResets(stream, {k}) — the reset-replay property carried
-  // up to the service layer.
+  // EvaluateWithSchedule(codec, options, stream, {}, {k}) — the
+  // reset-replay property carried up to the service layer.
   const std::vector<BusAccess> stream =
       TestStream(verify::StreamFamily::kStrideSweep, 33, 500);
   for (const char* codec_name : {"t0", "inc-xor", "dual-t0-bi"}) {
@@ -297,9 +297,9 @@ TEST(EvictionTest, EvictAndReadmitReproducesEvaluateWithResets) {
     EXPECT_EQ(report.readmissions, 1u);
     ASSERT_EQ(report.reset_points, std::vector<std::size_t>{200});
 
-    CodecPtr reference = MakeCodec(codec_name);
     const std::size_t reset_at[] = {200};
-    const EvalResult want = EvaluateWithResets(*reference, stream, reset_at);
+    const EvalResult want =
+        EvaluateWithSchedule(codec_name, CodecOptions{}, stream, {}, reset_at);
     ExpectSameEvalResult(report.result, want);
   }
 }
@@ -334,10 +334,10 @@ TEST(EvictionTest, IdleSessionsAreEvictedAndReadmittedLazily) {
   const SessionReport report = service.Report(id);
   EXPECT_EQ(report.state, SessionState::kActive);
   ASSERT_EQ(report.reset_points, std::vector<std::size_t>{150});
-  CodecPtr reference = MakeCodec(report.codec_name);
   const std::size_t reset_at[] = {150};
   ExpectSameEvalResult(report.result,
-                       EvaluateWithResets(*reference, stream, reset_at));
+                       EvaluateWithSchedule(report.active_codec, CodecOptions{},
+                                            stream, {}, reset_at));
 }
 
 TEST(EvictionTest, AccessBudgetBoundsASessionsFsmLifetime) {
@@ -353,10 +353,9 @@ TEST(EvictionTest, AccessBudgetBoundsASessionsFsmLifetime) {
   ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
   const SessionReport report = service.Report(id);
   EXPECT_FALSE(report.reset_points.empty());
-  CodecPtr reference = MakeCodec(report.codec_name);
   ExpectSameEvalResult(
-      report.result,
-      EvaluateWithResets(*reference, stream, report.reset_points));
+      report.result, EvaluateWithSchedule(report.active_codec, CodecOptions{},
+                                          stream, {}, report.reset_points));
 }
 
 TEST(RecoveryTest, ResyncRetryHealsATransientUpsetUnprotected) {

@@ -103,6 +103,7 @@ int main(int argc, char** argv) {
 
     std::size_t checks = 0;
     for (const NamedStream& stream : streams) {
+      const abenc::SpanTraceSource rows(stream.accesses);
       const abenc::ColumnarTraceSource columnar =
           abenc::ColumnarTraceSource::FromAccesses(stream.accesses);
       for (const std::string& codec_name : abenc::AllCodecNames()) {
@@ -118,8 +119,8 @@ int main(int argc, char** argv) {
           const simd::ScopedKernelBackend scoped(backend);
           for (std::size_t chunk : chunk_sizes) {
             const EvalResult span_result = abenc::EvaluateBatched(
-                *abenc::MakeCodec(codec_name, options), stream.accesses,
-                options.stride, true, chunk);
+                *abenc::MakeCodec(codec_name, options), rows, options.stride,
+                true, chunk);
             const EvalResult columnar_result = abenc::EvaluateBatched(
                 *abenc::MakeCodec(codec_name, options), columnar,
                 options.stride, true, chunk);
