@@ -12,9 +12,10 @@
 //              straight from a memory-mapped columnar `.ctrace` via
 //              ViewColumns — no row materialisation client-side.
 //
-// Every session's STATS is verified bit-identical to a serial
-// EvaluateWithSchedule() replay before any number is printed, so the
-// bench doubles as an end-to-end identity check of the wire paths. The
+// Every session's STATS goes through the soak core's gate (bit-identity
+// with a serial EvaluateWithSchedule() replay, accounted deliveries,
+// bounded queue) before any number is printed, so the bench doubles as
+// an end-to-end identity check of the wire paths. The
 // --json document carries only the deterministic accounting (never
 // timings), which is what the CI bench-regression gate diffs.
 //
@@ -33,6 +34,7 @@
 #include "bench/bench_util.h"
 #include "core/stream_evaluator.h"
 #include "net/client.h"
+#include "net/net_soak.h"
 #include "net/server.h"
 #include "report/json_writer.h"
 #include "trace/mmap_trace.h"
@@ -47,6 +49,11 @@ constexpr std::size_t kSessions = 12;
 constexpr std::size_t kLength = 6000;
 constexpr std::uint64_t kSeed = 77;
 constexpr std::size_t kChunk = 256;
+// Deep queues: the bench measures wire discipline, not admission
+// backpressure (rejection/backoff cycles would time the server's drain
+// rate instead).
+constexpr std::size_t kQueueCapacity = 2 * kLength;
+constexpr std::size_t kWatermark = kLength + kLength / 2;
 
 const char* const kCodecs[] = {"t0", "bus-invert", "gray"};
 
@@ -65,34 +72,50 @@ struct ModeOutcome {
   double seconds = 0.0;  // printed, not baselined
 };
 
-/// Fetch the drained STATS and demand bit-identity with the serial
-/// EvaluateWithSchedule replay of this session's stream + schedule.
-/// Returns false (with a diagnostic) on any divergence.
-bool VerifyAndFold(net::Client& client, std::uint64_t id,
-                   const std::string& initial_codec,
-                   std::span<const BusAccess> stream, ModeOutcome& out) {
-  const net::StatsReply stats = client.DrainStats(id, /*wait_drained=*/true);
-  if (stats.accepted != stream.size()) {
-    std::cerr << "bench_net_pipeline: session " << id << " accepted "
-              << stats.accepted << " of " << stream.size() << " accesses\n";
-    return false;
+/// Open one deep-queued session per entry of `codec_of`.
+std::vector<std::uint64_t> OpenSessions(
+    net::Client& client, const std::vector<std::string>& codec_of) {
+  std::vector<std::uint64_t> ids;
+  for (const std::string& codec : codec_of) {
+    net::OpenRequest open;
+    open.codec = codec;
+    open.queue_capacity = kQueueCapacity;
+    open.slowdown_watermark = kWatermark;
+    ids.push_back(client.Open(open).session_id);
   }
-  const std::vector<std::size_t> resets(stats.reset_points.begin(),
-                                        stats.reset_points.end());
-  const EvalResult expected = EvaluateWithSchedule(
-      initial_codec, CodecOptions{}, stream, stats.renegotiations, resets);
-  if (stats.transitions != expected.transitions ||
-      stats.peak_transitions != expected.peak_transitions ||
-      stats.in_sequence_percent != expected.in_sequence_percent ||
-      stats.per_line != expected.per_line) {
-    std::cerr << "bench_net_pipeline: session " << id
-              << " diverged from serial EvaluateWithSchedule\n";
-    return false;
+  return ids;
+}
+
+/// Fetch every session's drained STATS, put it through the soak
+/// core's gate against its stream and acked switches (`acked` empty:
+/// none), fold it into `out` and close it. Returns false (with a
+/// diagnostic per failed check) on any divergence.
+bool VerifyAndFold(net::Client& client, const std::vector<std::uint64_t>& ids,
+                   const std::vector<std::string>& codec_of,
+                   const std::vector<std::vector<BusAccess>>& streams,
+                   const std::vector<std::vector<CodecSwitchPoint>>& acked,
+                   ModeOutcome& out) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const net::StatsReply stats =
+        client.DrainStats(ids[i], /*wait_drained=*/true);
+    service::GateInput input;
+    input.codec_name = codec_of[i];
+    input.stream = streams[i];
+    if (!acked.empty()) input.acked = acked[i];
+    input.queue_capacity = kQueueCapacity;
+    const std::vector<service::GateCheck> failed =
+        service::CheckServedSession(input, net::ReadBackOf(stats));
+    for (const service::GateCheck check : failed) {
+      std::cerr << "bench_net_pipeline: session " << ids[i] << ": "
+                << service::GateCheckName(check) << "\n";
+    }
+    if (!failed.empty()) return false;
+    out.accesses += stats.accepted;
+    out.transitions += stats.transitions;
+    out.peak_transitions += stats.peak_transitions;
+    out.switches += stats.renegotiations.size();
+    client.Close(ids[i]);
   }
-  out.accesses += stats.accepted;
-  out.transitions += stats.transitions;
-  out.peak_transitions += stats.peak_transitions;
-  out.switches += stats.renegotiations.size();
   return true;
 }
 
@@ -135,17 +158,7 @@ int main(int argc, char** argv) {
     net::ClientOptions copt;
     copt.endpoint = server.endpoint();
     net::Client client(copt);
-    std::vector<std::uint64_t> ids(kSessions);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      net::OpenRequest open;
-      open.codec = codec_of[i];
-      // Deep queue: the bench measures wire discipline, not admission
-      // backpressure (rejection/backoff cycles would time the server's
-      // drain rate instead).
-      open.queue_capacity = 2 * kLength;
-      open.slowdown_watermark = kLength + kLength / 2;
-      ids[i] = client.Open(open).session_id;
-    }
+    const std::vector<std::uint64_t> ids = OpenSessions(client, codec_of);
     ModeOutcome out;
     out.mode = "submit";
     const auto start = Clock::now();
@@ -160,12 +173,7 @@ int main(int argc, char** argv) {
       }
     }
     out.seconds = Seconds(start, Clock::now());
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
-        return 1;
-      }
-      client.Close(ids[i]);
-    }
+    if (!VerifyAndFold(client, ids, codec_of, streams, {}, out)) return 1;
     modes.push_back(out);
   }
 
@@ -175,42 +183,27 @@ int main(int argc, char** argv) {
     net::ClientOptions copt;
     copt.endpoint = server.endpoint();
     net::Client client(copt);
-    std::vector<std::uint64_t> ids(kSessions);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      net::OpenRequest open;
-      open.codec = codec_of[i];
-      // Deep queue: the bench measures wire discipline, not admission
-      // backpressure (rejection/backoff cycles would time the server's
-      // drain rate instead).
-      open.queue_capacity = 2 * kLength;
-      open.slowdown_watermark = kLength + kLength / 2;
-      ids[i] = client.Open(open).session_id;
-    }
+    const std::vector<std::uint64_t> ids = OpenSessions(client, codec_of);
     ModeOutcome out;
     out.mode = "pipelined";
     constexpr std::size_t kHalf = kLength / 2;
-    std::vector<std::vector<Word>> addresses(kSessions);
-    std::vector<std::vector<std::uint8_t>> sel(kSessions);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      addresses[i].resize(kLength);
-      sel[i].resize(kLength);
-      for (std::size_t k = 0; k < kLength; ++k) {
-        addresses[i][k] = streams[i][k].address;
-        sel[i][k] = streams[i][k].sel ? 1 : 0;
-      }
+    std::vector<service::ColumnBatch> columns;
+    for (const std::vector<BusAccess>& stream : streams) {
+      columns.push_back(service::ColumnBatch::FromRows(stream));
     }
     net::StreamSubmitOptions sopt;
     sopt.chunk = kChunk;
     sopt.window = 8;
     sopt.ack_interval = 1;
+    std::vector<std::vector<CodecSwitchPoint>> acked(kSessions);
     const auto start = Clock::now();
     // Three phases so the per-session half-way drains overlap: submit
     // every first half, then drain + renegotiate each (the drains have
     // mostly completed in the background by then), then submit every
     // second half.
     for (std::size_t i = 0; i < kSessions; ++i) {
-      (void)client.SubmitColumns(ids[i], addresses[i].data(), sel[i].data(),
-                                 kHalf, sopt);
+      (void)client.SubmitColumns(ids[i], columns[i].addresses.data(),
+                                 columns[i].sel.data(), kHalf, sopt);
     }
     for (std::size_t i = 0; i < kSessions; ++i) {
       // Drain so the switch pins at exactly kHalf — deterministic for
@@ -223,20 +216,16 @@ int main(int argc, char** argv) {
                   << ack.switch_index << ", expected " << kHalf << "\n";
         return 1;
       }
+      acked[i].push_back({kHalf, ack.codec});
     }
     net::StreamSubmitOptions second = sopt;
     second.start = kHalf;
     for (std::size_t i = 0; i < kSessions; ++i) {
-      (void)client.SubmitColumns(ids[i], addresses[i].data(), sel[i].data(),
-                                 kLength, second);
+      (void)client.SubmitColumns(ids[i], columns[i].addresses.data(),
+                                 columns[i].sel.data(), kLength, second);
     }
     out.seconds = Seconds(start, Clock::now());
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
-        return 1;
-      }
-      client.Close(ids[i]);
-    }
+    if (!VerifyAndFold(client, ids, codec_of, streams, acked, out)) return 1;
     modes.push_back(out);
   }
 
@@ -262,17 +251,7 @@ int main(int argc, char** argv) {
     net::ClientOptions copt;
     copt.endpoint = server.endpoint();
     net::Client client(copt);
-    std::vector<std::uint64_t> ids(kSessions);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      net::OpenRequest open;
-      open.codec = codec_of[i];
-      // Deep queue: the bench measures wire discipline, not admission
-      // backpressure (rejection/backoff cycles would time the server's
-      // drain rate instead).
-      open.queue_capacity = 2 * kLength;
-      open.slowdown_watermark = kLength + kLength / 2;
-      ids[i] = client.Open(open).session_id;
-    }
+    const std::vector<std::uint64_t> ids = OpenSessions(client, codec_of);
     ModeOutcome out;
     out.mode = "mmap-stream";
     const auto start = Clock::now();
@@ -294,12 +273,7 @@ int main(int argc, char** argv) {
                                  kLength, sopt);
     }
     out.seconds = Seconds(start, Clock::now());
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
-        return 1;
-      }
-      client.Close(ids[i]);
-    }
+    if (!VerifyAndFold(client, ids, codec_of, streams, {}, out)) return 1;
     modes.push_back(out);
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);

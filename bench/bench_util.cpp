@@ -1,10 +1,8 @@
 #include "bench/bench_util.h"
 
-#include <charconv>
 #include <iostream>
-#include <stdexcept>
-#include <string_view>
 
+#include "core/cli_flags.h"
 #include "core/codec_factory.h"
 #include "core/experiment.h"
 #include "obs/metrics_json.h"
@@ -13,57 +11,15 @@
 #include "trace/trace_source.h"
 
 namespace abenc::bench {
-namespace {
-
-// Returns true and fills `value` when `arg` matches `--name=value` or
-// `--name value` (consuming the next argument in the second form).
-bool MatchFlag(std::string_view name, int argc, char** argv, int& i,
-               std::string& value) {
-  const std::string_view arg = argv[i];
-  const std::string flag = std::string("--") + std::string(name);
-  if (arg == flag) {
-    if (i + 1 >= argc) {
-      throw std::invalid_argument(flag + " requires a value");
-    }
-    value = argv[++i];
-    return true;
-  }
-  if (arg.starts_with(flag + "=")) {
-    value = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
-
-// Strict base-10 parse: the whole value must be digits ("12abc", "-1",
-// "" and values above unsigned all reject), unlike std::stoul which
-// accepts trailing garbage and wraps negatives.
-unsigned ParseUnsigned(std::string_view flag, std::string_view text) {
-  unsigned value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size() ||
-      text.empty()) {
-    throw std::invalid_argument(std::string("--") + std::string(flag) +
-                                " expects a non-negative integer, got '" +
-                                std::string(text) + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (MatchFlag("json", argc, argv, i, value)) {
-      options.json_path = value;
-    } else if (MatchFlag("parallelism", argc, argv, i, value)) {
-      options.parallelism = ParseUnsigned("parallelism", value);
-    } else if (MatchFlag("metrics", argc, argv, i, value)) {
-      options.metrics_path = value;
+    if (MatchFlag("--json", argc, argv, i, options.json_path)) continue;
+    if (MatchCount("--parallelism", argc, argv, i, options.parallelism)) {
+      continue;
     }
+    MatchFlag("--metrics", argc, argv, i, options.metrics_path);
     // Anything else is ignored.
   }
   return options;

@@ -3,34 +3,20 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <random>
-#include <sstream>
 #include <thread>
 
-#include "core/codec_factory.h"
-#include "core/stream_evaluator.h"
 #include "net/client.h"
-#include "service/soak.h"
 #include "verify/stream_gen.h"
 
 namespace abenc::net {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t Draw(std::uint64_t seed, std::uint64_t salt) {
-  return verify::MixSeed(seed + 0x9E3779B97F4A7C15ULL * (salt + 1));
-}
-
-/// A planned mid-stream RENEGOTIATE: issued once the client's admitted
-/// count reaches `at`, asking for `codec` (which may be refused).
-struct PlannedSwitch {
-  std::size_t at = 0;
-  std::string codec;
-};
+using service::Draw;
+using service::DrawFraction;
+using service::SoakSessionPlan;
 
 /// How a session ships its stream.
 enum class SubmitMode {
@@ -39,25 +25,44 @@ enum class SubmitMode {
   kStreaming,  // SUBMIT_STREAM, sparse acks (bulk-transfer mode)
 };
 
-/// One planned wire session: stream, codec and injection schedule, all
-/// fixed up front so the serial oracle can be recomputed afterwards.
-struct SessionPlan {
-  std::size_t index = 0;
-  std::string codec_name;
-  std::vector<BusAccess> stream;
-  CodecOptions codec_options;
-  std::uint8_t protection = 2;  // SECDED unless the fault draw rotates it
-  std::uint64_t fault_seed = 0;
+/// The wire-only part of a session's plan.
+struct WireLegs {
   /// Accepted-count thresholds at which the client kills its connection
   /// (odd entries mid-frame) and resumes via ATTACH.
   std::vector<std::size_t> kill_points;
-  /// Mid-stream renegotiation schedule (admitted-count thresholds).
-  std::vector<PlannedSwitch> renegotiations;
   SubmitMode submit_mode = SubmitMode::kSerial;
   /// Run as a v1 client: byte-identical legacy conversation, no v2
   /// frame or field may ever reach it.
   bool old_version = false;
 };
+
+/// Draws the wire-only legs of `plan` and adapts its switch schedule: a
+/// v1 client cannot renegotiate, and a v2 one occasionally sends an
+/// empty target, delegating the choice to the server's policy.
+WireLegs PlanWireLegs(SoakSessionPlan& plan, const NetSoakOptions& options) {
+  WireLegs legs;
+  if (options.length >= 3 &&
+      DrawFraction(plan.seed, 6, options.disconnect_fraction)) {
+    legs.kill_points = {options.length / 3, (2 * options.length) / 3};
+  }
+  // One in eight sessions runs as a v1 client when v2 features are on:
+  // the legacy conversation must stay untouched by the new frames.
+  const bool v2_features = options.renegotiate_fraction > 0.0 ||
+                           options.pipeline_fraction > 0.0;
+  legs.old_version = v2_features && Draw(plan.seed, 8) % 8 == 0;
+  if (legs.old_version) {
+    plan.switches.clear();
+    return legs;
+  }
+  for (service::PlannedSwitch& planned : plan.switches) {
+    if (Draw(plan.seed, planned.salt) % 5 == 0) planned.codec_name.clear();
+  }
+  if (DrawFraction(plan.seed, 13, options.pipeline_fraction)) {
+    legs.submit_mode = Draw(plan.seed, 14) % 2 == 0 ? SubmitMode::kPipelined
+                                                    : SubmitMode::kStreaming;
+  }
+  return legs;
+}
 
 /// What a hostile connection observed. Anything but kWedged is a clean
 /// containment outcome.
@@ -111,26 +116,515 @@ struct RawConn {
   }
 };
 
+/// State shared by every thread of one run.
+struct WireSoak {
+  WireSoak(const NetSoakOptions& soak_options, const std::string& endpoint,
+           const service::SoakClock& soak_clock)
+      : options(soak_options),
+        dial(ParseEndpoint(endpoint)),
+        clock(soak_clock) {
+    client_options.endpoint = endpoint;
+    client_options.io_timeout = soak_options.io_timeout;
+  }
+
+  const NetSoakOptions& options;
+  ClientOptions client_options;
+  const Endpoint dial;
+  const service::SoakClock& clock;
+
+  std::mutex mutex;  // guards outcome
+  NetSoakOutcome outcome;
+
+  bool OutOfTime() {
+    if (!clock.OutOfTime()) return false;
+    std::lock_guard<std::mutex> lock(mutex);
+    outcome.timed_out = true;
+    return true;
+  }
+
+  void Count(std::uint64_t NetSoakOutcome::*field, std::uint64_t n = 1) {
+    std::lock_guard<std::mutex> lock(mutex);
+    outcome.*field += n;
+  }
+
+  void Fail(std::string failure) {
+    std::lock_guard<std::mutex> lock(mutex);
+    outcome.failures.push_back(std::move(failure));
+  }
+};
+
+/// One planned session driven end to end over the wire: its
+/// submissions, planned kills resumed via ATTACH and planned
+/// RENEGOTIATEs, then its STATS through the core's gate.
+class WireSession {
+ public:
+  WireSession(WireSoak& soak, const SoakSessionPlan& plan, const WireLegs& legs)
+      : soak_(soak),
+        plan_(plan),
+        legs_(legs),
+        stream_(plan.stream),
+        chunk_(soak.options.chunk == 0 ? std::size_t{64}
+                                       : soak.options.chunk) {
+    conn_options_ = soak.client_options;
+    if (legs.old_version) conn_options_.version_max = 1;
+  }
+
+  /// Runs the session; protocol and transport errors become failures.
+  void Run() {
+    try {
+      Drive();
+    } catch (const WireError& e) {
+      Fail(std::string("protocol error: ") + e.what());
+    } catch (const NetError& e) {
+      Fail(std::string("transport error: ") + e.what());
+    }
+  }
+
+ private:
+  void Fail(const std::string& what) {
+    soak_.Fail(plan_.Label() + ": " + what);
+  }
+
+  void Drive() {
+    client_ = std::make_unique<Client>(conn_options_);
+    if (legs_.old_version &&
+        (client_->version() != 1 || client_->capabilities() != 0)) {
+      Fail("v1 client negotiated a v2 conversation");
+      return;
+    }
+    OpenRequest open;
+    open.codec = plan_.codec_name;
+    open.width = static_cast<std::uint16_t>(plan_.codec_options.width);
+    open.stride = plan_.codec_options.stride;
+    open.protection = static_cast<std::uint8_t>(plan_.protection);
+    open.queue_capacity = soak_.options.queue_capacity;
+    open.slowdown_watermark = soak_.options.slowdown_watermark;
+    open.fault_seed = plan_.faulted ? plan_.seed : 0;
+    opened_ = client_->Open(open);
+
+    if (legs_.submit_mode != SubmitMode::kSerial) {
+      // Column copy of the stream (index == lifetime index, the shape an
+      // mmap-fed replay would view directly).
+      columns_ = service::ColumnBatch::FromRows(stream_);
+    }
+
+    while (accepted_ < stream_.size()) {
+      if (soak_.OutOfTime()) return;
+      if (!IssueSwitches()) return;
+      bool ok = false;
+      if (next_kill_ < legs_.kill_points.size() &&
+          accepted_ >= legs_.kill_points[next_kill_]) {
+        ok = KillAndResume();
+      } else if (legs_.submit_mode == SubmitMode::kSerial) {
+        ok = SubmitChunk();
+      } else {
+        ok = StreamToBoundary();
+      }
+      if (!ok) return;
+    }
+    // Switch thresholds at the exact stream end still fire — they pin a
+    // switch at the final admitted index.
+    if (!IssueSwitches()) return;
+    Finish();
+  }
+
+  /// Issue every planned RENEGOTIATE whose threshold the admitted count
+  /// has reached. Only called between submissions, when no frame is in
+  /// flight, so the reply is the very next frame. Clean refusals
+  /// (degraded transport, codec already active, …) are tolerated and
+  /// tallied; the acked switches feed the gate.
+  bool IssueSwitches() {
+    while (next_switch_ < plan_.switches.size() &&
+           accepted_ >= plan_.switches[next_switch_].at) {
+      const std::string& target = plan_.switches[next_switch_].codec_name;
+      ++next_switch_;
+      try {
+        const RenegotiateReply ack =
+            client_->Renegotiate(opened_.session_id, target);
+        if (ack.switch_index < accepted_ || ack.switch_index > stream_.size()) {
+          Fail("RENEGOTIATE_ACK pinned a switch outside the admitted range");
+          return false;
+        }
+        acked_.push_back(
+            {static_cast<std::size_t>(ack.switch_index), ack.codec});
+        soak_.Count(&NetSoakOutcome::renegotiations);
+      } catch (const WireError& e) {
+        if (e.status() != Status::kRenegotiateRefused &&
+            e.status() != Status::kBadConfig) {
+          throw;
+        }
+        soak_.Count(&NetSoakOutcome::renegotiate_refusals);
+      }
+    }
+    return true;
+  }
+
+  /// Kill the connection — on odd kills after shipping the first half
+  /// of a frame (SUBMIT or SUBMIT_STREAM, per the session's mode), so
+  /// the server sees a mid-frame EOF and must discard the partial frame
+  /// whole — then resume on a new connection via ATTACH.
+  bool KillAndResume() {
+    if ((next_kill_ & 1) != 0) {
+      const std::size_t n = NextChunk();
+      const std::vector<std::uint8_t> frame_bytes =
+          legs_.submit_mode == SubmitMode::kSerial
+              ? EncodeFrame(FrameType::kSubmit,
+                            EncodeSubmit(opened_.session_id,
+                                         stream_.subspan(accepted_, n)))
+              : EncodeFrame(FrameType::kSubmitStream,
+                            EncodeSubmitStream(
+                                opened_.session_id, accepted_, true,
+                                columns_.addresses.data() + accepted_,
+                                columns_.sel.data() + accepted_, n));
+      const std::size_t half = std::max<std::size_t>(1, frame_bytes.size() / 2);
+      try {
+        client_->SendRaw(
+            std::span<const std::uint8_t>(frame_bytes.data(), half));
+      } catch (const NetError&) {
+      }
+    }
+    client_->Abort();
+    ++next_kill_;
+    soak_.Count(&NetSoakOutcome::disconnects);
+    client_ = std::make_unique<Client>(conn_options_);
+    const AttachReply attach =
+        client_->Attach(opened_.session_id, opened_.token);
+    if (attach.accepted < accepted_ || attach.accepted > stream_.size()) {
+      Fail("ATTACH resume point out of range");
+      return false;
+    }
+    // Applied switches can lag acked ones (a scheduled switch whose
+    // pinned index the drain has not reached yet) but never exceed them
+    // — the server can't invent a switch the client never sent.
+    if ((client_->capabilities() & kCapRenegotiate) != 0 &&
+        attach.renegotiations > acked_.size()) {
+      Fail("ATTACH_OK reports more applied switches than the client ever "
+           "acked");
+      return false;
+    }
+    accepted_ = attach.accepted;
+    soak_.Count(&NetSoakOutcome::resumes);
+    return true;
+  }
+
+  /// Stream up to the next planned boundary (kill or switch threshold),
+  /// windowed; SubmitColumns drains its window before returning, so the
+  /// boundary actions stay frame-aligned.
+  bool StreamToBoundary() {
+    std::uint64_t target = stream_.size();
+    if (next_kill_ < legs_.kill_points.size()) {
+      target = std::min<std::uint64_t>(target, legs_.kill_points[next_kill_]);
+    }
+    if (next_switch_ < plan_.switches.size()) {
+      target = std::min<std::uint64_t>(target, plan_.switches[next_switch_].at);
+    }
+    target = std::max<std::uint64_t>(target, accepted_ + 1);
+    StreamSubmitOptions stream_options;
+    stream_options.chunk = chunk_;
+    stream_options.window = 4;
+    stream_options.ack_interval =
+        legs_.submit_mode == SubmitMode::kPipelined ? 1 : 4;
+    stream_options.start = accepted_;
+    const StreamSubmitResult result = client_->SubmitColumns(
+        opened_.session_id, columns_.addresses.data(), columns_.sel.data(),
+        target, stream_options);
+    soak_.Count(&NetSoakOutcome::slowdowns, result.slowdowns);
+    soak_.Count(&NetSoakOutcome::rejections, result.rejections);
+    if (result.closed) {
+      Fail("session input closed mid-stream");
+      return false;
+    }
+    if (result.accepted < accepted_ || result.accepted > target) {
+      Fail("admitted count skew (an access was dropped or duplicated)");
+      return false;
+    }
+    accepted_ = result.accepted;
+    return true;
+  }
+
+  /// One lock-step SUBMIT, paced on kSlowDown and backed off on
+  /// kRejected.
+  bool SubmitChunk() {
+    const std::size_t n = NextChunk();
+    const SubmitAck ack =
+        client_->Submit(opened_.session_id, stream_.subspan(accepted_, n));
+    switch (ack.status) {
+      case Status::kOk:
+      case Status::kSlowDown:
+        if (ack.accepted != accepted_ + n) {
+          Fail("admitted count skew (an access was dropped or duplicated)");
+          return false;
+        }
+        accepted_ = ack.accepted;
+        backoff_us_ = 100;
+        if (ack.status == Status::kSlowDown) {
+          soak_.Count(&NetSoakOutcome::slowdowns);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        return true;
+      case Status::kRejected:
+        if (ack.accepted != accepted_) {
+          Fail("rejected SUBMIT changed the accepted count");
+          return false;
+        }
+        soak_.Count(&NetSoakOutcome::rejections);
+        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us_));
+        backoff_us_ = std::min<std::uint64_t>(backoff_us_ * 2, 5000);
+        return true;
+      default:
+        Fail("unexpected SUBMIT_ACK status " + StatusName(ack.status));
+        return false;
+    }
+  }
+
+  /// DRAIN_STATS, CLOSE, and the read-back through the gate.
+  void Finish() {
+    const StatsReply stats =
+        client_->DrainStats(opened_.session_id, /*wait_drained=*/true);
+    client_->Close(opened_.session_id);
+    client_.reset();
+    service::GateInput input;
+    input.codec_name = plan_.codec_name;
+    input.codec_options = plan_.codec_options;
+    input.stream = stream_;
+    input.acked = acked_;
+    input.queue_capacity = soak_.options.queue_capacity;
+    const service::ReadBack read_back = ReadBackOf(stats);
+    const std::vector<service::GateCheck> failed =
+        service::CheckServedSession(input, read_back);
+    std::lock_guard<std::mutex> lock(soak_.mutex);
+    soak_.outcome.Record(plan_.Label(), read_back, failed);
+    if (legs_.submit_mode != SubmitMode::kSerial) {
+      ++soak_.outcome.pipelined_sessions;
+    }
+    if (legs_.old_version) ++soak_.outcome.old_version_sessions;
+  }
+
+  std::size_t NextChunk() const {
+    return std::min<std::size_t>(chunk_, stream_.size() - accepted_);
+  }
+
+  WireSoak& soak_;
+  const SoakSessionPlan& plan_;
+  const WireLegs& legs_;
+  const std::span<const BusAccess> stream_;
+  const std::size_t chunk_;
+  ClientOptions conn_options_;
+  std::unique_ptr<Client> client_;
+  OpenReply opened_;
+  service::ColumnBatch columns_;
+  std::vector<CodecSwitchPoint> acked_;
+  std::uint64_t accepted_ = 0;
+  std::uint64_t backoff_us_ = 100;
+  std::size_t next_kill_ = 0;
+  std::size_t next_switch_ = 0;
+};
+
+/// One connection of the fuzz swarm, run concurrently with the traffic:
+/// every violation in the catalogue must end in a protocol ERROR or an
+/// orderly close — a receive timeout means a wedged connection and
+/// fails the soak.
+void RunFuzzConnection(WireSoak& soak, std::size_t f) {
+  const NetSoakOptions& options = soak.options;
+  auto fuzz_fail = [&](int which, const std::string& what) {
+    soak.Fail("fuzz[" + std::to_string(f) + "] case " +
+              std::to_string(which) + ": " + what);
+  };
+  std::mt19937_64 rng(verify::MixSeed(options.seed ^ (0xF022ULL + f)));
+  const std::vector<std::uint8_t> hello =
+      EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{}));
+  auto with_hello = [&](const std::vector<std::uint8_t>& frame) {
+    std::vector<std::uint8_t> bytes = hello;
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    return bytes;
+  };
+  auto raw_case = [&](int which, const std::vector<std::uint8_t>& bytes,
+                      bool require_error) {
+    if (soak.OutOfTime()) return;
+    try {
+      RawConn conn(soak.dial, options.io_timeout);
+      conn.Send(bytes);
+      conn.HalfClose();
+      soak.Count(&NetSoakOutcome::fuzz_frames);
+      std::uint64_t errors_seen = 0;
+      const FuzzEnd end = conn.Outcome(&errors_seen);
+      soak.Count(&NetSoakOutcome::fuzz_errors, errors_seen);
+      if (end == FuzzEnd::kWedged) {
+        fuzz_fail(which, "server wedged (receive timeout)");
+      } else if (end == FuzzEnd::kClosed && require_error) {
+        fuzz_fail(which, "expected a protocol ERROR before the close");
+      }
+    } catch (const NetError& e) {
+      fuzz_fail(which, e.what());
+    }
+  };
+
+  // 0: random garbage. A plausible garbage length prefix makes the
+  // server wait for the payload; the half-close turns that into a
+  // mid-frame EOF, so a clean close (no ERROR) is acceptable here.
+  std::vector<std::uint8_t> garbage(1 + rng() % 64);
+  for (std::uint8_t& byte : garbage) {
+    byte = static_cast<std::uint8_t>(rng());
+  }
+  raw_case(0, garbage, /*require_error=*/false);
+
+  // 1: length prefix far above the cap — rejected from the prefix
+  // alone, before any payload arrives.
+  raw_case(1, {0xFF, 0xFF, 0xFF, 0xFF}, /*require_error=*/true);
+
+  // 2: zero-length frame.
+  raw_case(2, {0x00, 0x00, 0x00, 0x00}, /*require_error=*/true);
+
+  // 3: unknown frame type after a valid HELLO.
+  raw_case(3,
+           with_hello(EncodeFrame(static_cast<FrameType>(0x63),
+                                  std::vector<std::uint8_t>())),
+           /*require_error=*/true);
+
+  // 4: HELLO with the wrong magic.
+  {
+    HelloRequest bad;
+    bad.magic = 0xDEADBEEFu;
+    raw_case(4, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
+             /*require_error=*/true);
+  }
+
+  // 5: HELLO with no protocol version overlap.
+  {
+    HelloRequest bad;
+    bad.version_min = 99;
+    bad.version_max = 100;
+    raw_case(5, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
+             /*require_error=*/true);
+  }
+
+  // 6: truncated frame then hard disconnect mid-frame — nothing to
+  // read back; the post-traffic health check proves no harm done.
+  if (!soak.OutOfTime()) {
+    try {
+      RawConn conn(soak.dial, options.io_timeout);
+      conn.Send(hello);
+      const std::vector<std::uint8_t> open_frame =
+          EncodeFrame(FrameType::kOpen, EncodeOpen(OpenRequest{}));
+      conn.Send(std::span<const std::uint8_t>(open_frame.data(),
+                                              open_frame.size() / 2));
+      soak.Count(&NetSoakOutcome::fuzz_frames);
+    } catch (const NetError&) {
+    }
+  }
+
+  // 7: well-typed frame with trailing garbage after its payload —
+  // sender/receiver layout disagreement, must be rejected.
+  {
+    Writer writer;
+    writer.U64(1);           // CloseRequest.session_id
+    writer.U32(0xDEADBEEF);  // trailing garbage
+    raw_case(7, with_hello(EncodeFrame(FrameType::kClose, writer.Take())),
+             /*require_error=*/true);
+  }
+
+  // 8: request-scoped errors must leave the connection usable — the
+  // same client that was refused twice then opens a real session.
+  if (!soak.OutOfTime()) {
+    try {
+      Client probe(soak.client_options);
+      soak.Count(&NetSoakOutcome::fuzz_frames, 2);
+      bool refused = false;
+      try {
+        const std::vector<BusAccess> one(1);
+        probe.Submit(0xFFFFFFFFFFFFull, one);
+      } catch (const WireError& e) {
+        refused = e.status() == Status::kUnknownSession;
+        soak.Count(&NetSoakOutcome::fuzz_errors);
+      }
+      if (!refused) fuzz_fail(8, "unknown-session SUBMIT was not refused");
+      refused = false;
+      try {
+        OpenRequest bogus;
+        bogus.codec = "no-such-codec";
+        probe.Open(bogus);
+      } catch (const WireError& e) {
+        refused = e.status() == Status::kBadConfig;
+        soak.Count(&NetSoakOutcome::fuzz_errors);
+      }
+      if (!refused) fuzz_fail(8, "bogus-codec OPEN was not refused");
+      OpenRequest good;
+      good.codec = "t0";
+      const OpenReply opened = probe.Open(good);
+      probe.Close(opened.session_id);
+    } catch (const WireError& e) {
+      fuzz_fail(8, e.what());
+    } catch (const NetError& e) {
+      fuzz_fail(8, e.what());
+    }
+  }
+
+  // 9: capability-gated frames on a connection that never negotiated
+  // them (v1 HELLO) are framing violations — fatal ERROR, exactly like
+  // an unknown frame type.
+  {
+    HelloRequest v1;
+    v1.version_max = 1;
+    std::vector<std::uint8_t> bytes =
+        EncodeFrame(FrameType::kHello, EncodeHello(v1));
+    RenegotiateRequest reneg;
+    reneg.session_id = 1;
+    reneg.codec = "gray";
+    const std::vector<std::uint8_t> frame =
+        EncodeFrame(FrameType::kRenegotiate, EncodeRenegotiate(reneg));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    raw_case(9, bytes, /*require_error=*/true);
+  }
+}
+
+/// Post-fuzz health check: after everything else, the server must still
+/// carry one clean session end to end through the gate — once on the
+/// current protocol and once as a v1 client, which must complete
+/// untouched by any v2 frame or field.
+void RunHealthCheck(WireSoak& soak, std::size_t index) {
+  if (soak.OutOfTime()) return;
+  SoakSessionPlan health;
+  health.index = index;
+  health.codec_name = "t0";
+  health.stream = verify::GenerateStream(
+      verify::AllStreamFamilies()[0],
+      verify::MixSeed(soak.options.seed ^ 0x4EA17ULL),
+      std::max<std::size_t>(soak.options.length, 16),
+      health.codec_options.width, health.codec_options.stride);
+  WireSession(soak, health, WireLegs{}).Run();
+
+  SoakSessionPlan legacy = health;
+  legacy.index = index + 1;
+  WireLegs v1;
+  v1.old_version = true;
+  WireSession(soak, legacy, v1).Run();
+}
+
 }  // namespace
 
+service::ReadBack ReadBackOf(const StatsReply& stats) {
+  service::ReadBack read_back;
+  read_back.admitted = stats.accepted;
+  read_back.result.stream_length = stats.stream_length;
+  read_back.result.transitions = stats.transitions;
+  read_back.result.peak_transitions = stats.peak_transitions;
+  read_back.result.in_sequence_percent = stats.in_sequence_percent;
+  read_back.result.per_line = stats.per_line;
+  read_back.applied = stats.renegotiations;
+  read_back.reset_points.assign(stats.reset_points.begin(),
+                                stats.reset_points.end());
+  read_back.transport = stats.transport;
+  read_back.peak_queue_depth = stats.peak_queue_depth;
+  read_back.degraded = stats.degraded;
+  return read_back;
+}
+
 NetSoakOutcome RunNetSoak(const NetSoakOptions& options) {
-  NetSoakOutcome outcome;
-  const auto start = Clock::now();
-  const bool budgeted = options.time_budget_s > 0.0;
-  const auto deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(
-                      budgeted ? options.time_budget_s : 0.0));
-  auto out_of_time = [&]() { return budgeted && Clock::now() >= deadline; };
+  const service::SoakClock clock(options.time_budget_s);
 
   ServerConfig server_config;
   server_config.endpoint = options.endpoint;
-  server_config.service.shards = std::max(1u, options.shards);
-  server_config.service.parallelism = std::max(1u, options.parallelism);
-  // Patient watchdog, as in the in-process soak: survives CPU-starved CI
-  // machines without spurious failovers.
-  server_config.service.watchdog_interval = std::chrono::milliseconds(100);
-  server_config.service.watchdog_stuck_strikes = 10;
+  server_config.service = service::SoakServiceConfig(options);
   const std::size_t plan_length = options.length;
   server_config.fault_planner = [plan_length](std::uint64_t seed) {
     return service::PlanSoakFault(seed, plan_length);
@@ -138,629 +632,41 @@ NetSoakOutcome RunNetSoak(const NetSoakOptions& options) {
   Server server(std::move(server_config));
   server.Start();
 
-  ClientOptions client_options;
-  client_options.endpoint = server.endpoint();
-  client_options.io_timeout = options.io_timeout;
-
-  // Shared tallies.
-  std::mutex mutex;  // failures + verify aggregates
-  std::atomic<std::uint64_t> slowdowns{0};
-  std::atomic<std::uint64_t> rejections{0};
-  std::atomic<std::uint64_t> disconnects{0};
-  std::atomic<std::uint64_t> resumes{0};
-  std::atomic<std::uint64_t> fuzz_frames{0};
-  std::atomic<std::uint64_t> fuzz_errors{0};
-  std::atomic<std::uint64_t> renegotiations{0};
-  std::atomic<std::uint64_t> renegotiate_refusals{0};
-  std::atomic<std::uint64_t> pipelined_sessions{0};
-  std::atomic<std::uint64_t> old_version_sessions{0};
-  std::atomic<bool> ran_out{false};
-
-  auto fail = [&](std::size_t index, const std::string& codec,
-                  const std::string& what) {
-    std::ostringstream out;
-    out << "session[" << index << "] (" << codec << "): " << what;
-    std::lock_guard<std::mutex> lock(mutex);
-    outcome.failures.push_back(out.str());
-  };
-
-  // Oracle check of one STATS reply against the serial reference.
-  // `acked` is the switch schedule the client collected from its
-  // RENEGOTIATE_ACKs: the server's pinned schedule must match it
-  // exactly, and the oracle replays it serially.
-  auto verify_stats = [&](const SessionPlan& plan, const StatsReply& stats,
-                          const std::vector<CodecSwitchPoint>& acked) {
-    const std::size_t length = plan.stream.size();
-    if (stats.accepted != length) {
-      fail(plan.index, plan.codec_name,
-           "server-acked accepted count != planned stream length");
-      return;
-    }
-    if (stats.stream_length != length) {
-      fail(plan.index, plan.codec_name,
-           "processed stream length != planned stream length");
-      return;
-    }
-    if (stats.renegotiations != acked) {
-      fail(plan.index, plan.codec_name,
-           "server switch schedule != the RENEGOTIATE_ACKs the client "
-           "collected (a switch was lost, duplicated or re-pinned)");
-      return;
-    }
-    const std::vector<std::size_t> resets(stats.reset_points.begin(),
-                                          stats.reset_points.end());
-    const EvalResult expected = EvaluateWithSchedule(
-        plan.codec_name, plan.codec_options, plan.stream,
-        stats.renegotiations, resets);
-    if (stats.transitions != expected.transitions) {
-      fail(plan.index, plan.codec_name, "transition count diverged");
-    }
-    if (stats.peak_transitions != expected.peak_transitions) {
-      fail(plan.index, plan.codec_name, "peak transitions diverged");
-    }
-    bool per_line_ok = stats.per_line.size() == expected.per_line.size();
-    for (std::size_t i = 0; per_line_ok && i < stats.per_line.size(); ++i) {
-      per_line_ok = stats.per_line[i] == expected.per_line[i];
-    }
-    if (!per_line_ok) {
-      fail(plan.index, plan.codec_name, "per-line histogram diverged");
-    }
-    if (stats.in_sequence_percent != expected.in_sequence_percent) {
-      fail(plan.index, plan.codec_name, "in-sequence percentage diverged");
-    }
-    const service::TransportCounters& t = stats.transport;
-    if (t.clean + t.corrected + t.recovered + t.degraded_deliveries !=
-        t.transfers) {
-      fail(plan.index, plan.codec_name,
-           "transport reconciliation failed (a delivery outcome was "
-           "lost — silent corruption)");
-    }
-    if (t.transfers != length) {
-      fail(plan.index, plan.codec_name, "transfer count != stream length");
-    }
-    if (stats.peak_queue_depth > options.queue_capacity) {
-      fail(plan.index, plan.codec_name,
-           "queue exceeded its configured capacity");
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    ++outcome.sessions;
-    outcome.accesses += stats.stream_length;
-    outcome.recovered_transfers += stats.transport.recovered;
-    outcome.corrected_transfers += stats.transport.corrected;
-    outcome.degraded_transfers += stats.transport.degraded_deliveries;
-    if (stats.degraded) ++outcome.degraded_sessions;
-  };
-
-  // Drive one planned session end-to-end over the wire, including its
-  // disconnect injections and renegotiation schedule, then verify its
-  // STATS against the oracle.
-  auto run_session = [&](const SessionPlan& plan) {
-    ClientOptions conn_options = client_options;
-    if (plan.old_version) conn_options.version_max = 1;
-    auto client = std::make_unique<Client>(conn_options);
-    if (plan.old_version &&
-        (client->version() != 1 || client->capabilities() != 0)) {
-      fail(plan.index, plan.codec_name,
-           "v1 client negotiated a v2 conversation");
-      return;
-    }
-    OpenRequest open;
-    open.codec = plan.codec_name;
-    open.width = static_cast<std::uint16_t>(plan.codec_options.width);
-    open.stride = plan.codec_options.stride;
-    open.protection = plan.protection;
-    open.queue_capacity = options.queue_capacity;
-    open.slowdown_watermark = options.slowdown_watermark;
-    open.fault_seed = plan.fault_seed;
-    const OpenReply opened = client->Open(open);
-
-    const std::span<const BusAccess> stream(plan.stream);
-    const std::size_t length = stream.size();
-    // Column copy of the stream for the SUBMIT_STREAM modes (index ==
-    // lifetime index, the shape an mmap-fed replay would view directly).
-    std::vector<Word> addresses;
-    std::vector<std::uint8_t> sel;
-    if (plan.submit_mode != SubmitMode::kSerial) {
-      addresses.reserve(length);
-      sel.reserve(length);
-      for (const BusAccess& access : stream) {
-        addresses.push_back(access.address);
-        sel.push_back(access.sel ? 1 : 0);
-      }
-    }
-
-    std::vector<CodecSwitchPoint> acked;
-    std::uint64_t accepted = 0;
-    std::uint64_t backoff_us = 100;
-    std::size_t next_kill = 0;
-    std::size_t next_switch = 0;
-
-    // Issue every planned RENEGOTIATE whose threshold the admitted
-    // count has reached. Only called between submissions, when no frame
-    // is in flight, so the reply is the very next frame. Clean refusals
-    // (degraded transport, codec already active, …) are tolerated and
-    // tallied; the acked switches feed the oracle. Returns false on a
-    // verification failure.
-    auto issue_renegotiations = [&]() {
-      while (next_switch < plan.renegotiations.size() &&
-             accepted >= plan.renegotiations[next_switch].at) {
-        const std::string& target = plan.renegotiations[next_switch].codec;
-        ++next_switch;
-        try {
-          const RenegotiateReply ack =
-              client->Renegotiate(opened.session_id, target);
-          if (ack.switch_index < accepted || ack.switch_index > length) {
-            fail(plan.index, plan.codec_name,
-                 "RENEGOTIATE_ACK pinned a switch outside the admitted "
-                 "range");
-            return false;
-          }
-          acked.push_back(
-              {static_cast<std::size_t>(ack.switch_index), ack.codec});
-          renegotiations.fetch_add(1, std::memory_order_relaxed);
-        } catch (const WireError& e) {
-          if (e.status() != Status::kRenegotiateRefused &&
-              e.status() != Status::kBadConfig) {
-            throw;
-          }
-          renegotiate_refusals.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      return true;
-    };
-
-    while (accepted < length) {
-      if (out_of_time()) {
-        ran_out.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (!issue_renegotiations()) return;
-      const std::size_t chunk =
-          options.chunk == 0 ? std::size_t{64} : options.chunk;
-      const std::size_t n = std::min<std::size_t>(
-          chunk, length - static_cast<std::size_t>(accepted));
-      if (next_kill < plan.kill_points.size() &&
-          accepted >= plan.kill_points[next_kill]) {
-        // Kill the connection — on odd kills after shipping the first
-        // half of a frame (SUBMIT or SUBMIT_STREAM, per the session's
-        // mode), so the server sees a mid-frame EOF and must discard
-        // the partial frame whole.
-        if ((next_kill & 1) != 0) {
-          const std::vector<std::uint8_t> frame_bytes =
-              plan.submit_mode == SubmitMode::kSerial
-                  ? EncodeFrame(FrameType::kSubmit,
-                                EncodeSubmit(opened.session_id,
-                                             stream.subspan(accepted, n)))
-                  : EncodeFrame(
-                        FrameType::kSubmitStream,
-                        EncodeSubmitStream(opened.session_id, accepted,
-                                           true, addresses.data() + accepted,
-                                           sel.data() + accepted, n));
-          const std::size_t half =
-              std::max<std::size_t>(1, frame_bytes.size() / 2);
-          try {
-            client->SendRaw(
-                std::span<const std::uint8_t>(frame_bytes.data(), half));
-          } catch (const NetError&) {
-          }
-        }
-        client->Abort();
-        ++next_kill;
-        disconnects.fetch_add(1, std::memory_order_relaxed);
-        client = std::make_unique<Client>(conn_options);
-        const AttachReply attach =
-            client->Attach(opened.session_id, opened.token);
-        if (attach.accepted < accepted || attach.accepted > length) {
-          fail(plan.index, plan.codec_name,
-               "ATTACH resume point out of range");
-          return;
-        }
-        // Applied switches can lag acked ones (a scheduled switch whose
-        // pinned index the drain has not reached yet) but never exceed
-        // them — the server can't invent a switch the client never sent.
-        if ((client->capabilities() & kCapRenegotiate) != 0 &&
-            attach.renegotiations > acked.size()) {
-          fail(plan.index, plan.codec_name,
-               "ATTACH_OK reports more applied switches than the client "
-               "ever acked");
-          return;
-        }
-        accepted = attach.accepted;
-        resumes.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (plan.submit_mode != SubmitMode::kSerial) {
-        // Stream up to the next planned boundary (kill or renegotiation
-        // threshold), windowed; SubmitColumns drains its window before
-        // returning, so the boundary actions above stay frame-aligned.
-        std::uint64_t target = length;
-        if (next_kill < plan.kill_points.size()) {
-          target = std::min<std::uint64_t>(target,
-                                           plan.kill_points[next_kill]);
-        }
-        if (next_switch < plan.renegotiations.size()) {
-          target = std::min<std::uint64_t>(
-              target, plan.renegotiations[next_switch].at);
-        }
-        target = std::max<std::uint64_t>(target, accepted + 1);
-        StreamSubmitOptions stream_options;
-        stream_options.chunk = chunk;
-        stream_options.window = 4;
-        stream_options.ack_interval =
-            plan.submit_mode == SubmitMode::kPipelined ? 1 : 4;
-        stream_options.start = accepted;
-        const StreamSubmitResult result = client->SubmitColumns(
-            opened.session_id, addresses.data(), sel.data(), target,
-            stream_options);
-        slowdowns.fetch_add(result.slowdowns, std::memory_order_relaxed);
-        rejections.fetch_add(result.rejections, std::memory_order_relaxed);
-        if (result.closed) {
-          fail(plan.index, plan.codec_name,
-               "session input closed mid-stream");
-          return;
-        }
-        if (result.accepted < accepted || result.accepted > target) {
-          fail(plan.index, plan.codec_name,
-               "admitted count skew (an access was dropped or "
-               "duplicated)");
-          return;
-        }
-        accepted = result.accepted;
-        continue;
-      }
-      const SubmitAck ack =
-          client->Submit(opened.session_id, stream.subspan(accepted, n));
-      switch (ack.status) {
-        case Status::kOk:
-        case Status::kSlowDown:
-          if (ack.accepted != accepted + n) {
-            fail(plan.index, plan.codec_name,
-                 "admitted count skew (an access was dropped or "
-                 "duplicated)");
-            return;
-          }
-          accepted = ack.accepted;
-          backoff_us = 100;
-          if (ack.status == Status::kSlowDown) {
-            slowdowns.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-          break;
-        case Status::kRejected:
-          if (ack.accepted != accepted) {
-            fail(plan.index, plan.codec_name,
-                 "rejected SUBMIT changed the accepted count");
-            return;
-          }
-          rejections.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = std::min<std::uint64_t>(backoff_us * 2, 5000);
-          break;
-        default:
-          fail(plan.index, plan.codec_name,
-               "unexpected SUBMIT_ACK status " + StatusName(ack.status));
-          return;
-      }
-    }
-    // Renegotiation thresholds at the exact stream end still fire —
-    // they pin a switch at the final admitted index.
-    if (!issue_renegotiations()) return;
-    const StatsReply stats =
-        client->DrainStats(opened.session_id, /*wait_drained=*/true);
-    client->Close(opened.session_id);
-    client.reset();
-    verify_stats(plan, stats, acked);
-    if (plan.submit_mode != SubmitMode::kSerial) {
-      pipelined_sessions.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (plan.old_version) {
-      old_version_sessions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  auto run_session_guarded = [&](const SessionPlan& plan) {
-    try {
-      run_session(plan);
-    } catch (const WireError& e) {
-      fail(plan.index, plan.codec_name,
-           std::string("protocol error: ") + e.what());
-    } catch (const NetError& e) {
-      fail(plan.index, plan.codec_name,
-           std::string("transport error: ") + e.what());
-    }
-  };
+  WireSoak soak(options, server.endpoint(), clock);
 
   // Plan every session up front.
-  const std::span<const char* const> palette = service::SoakCodecPalette();
-  const std::vector<verify::StreamFamily> families =
-      verify::AllStreamFamilies();
-  const std::size_t total_sessions =
-      std::max<std::size_t>(1, options.clients) *
-      std::max<std::size_t>(1, options.sessions_per_client);
-  std::vector<SessionPlan> plans(total_sessions);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    SessionPlan& plan = plans[i];
-    plan.index = i;
-    plan.codec_name = options.codec.empty()
-                          ? palette[i % palette.size()]
-                          : options.codec;
-    const std::uint64_t sub_seed =
-        verify::MixSeed(options.seed + 0x9E3779B97F4A7C15ULL * (i + 1));
-    plan.stream = verify::GenerateStream(
-        families[i % families.size()], sub_seed, options.length,
-        plan.codec_options.width, plan.codec_options.stride);
-    const bool faulted =
-        options.fault_fraction > 0.0 &&
-        static_cast<double>(Draw(sub_seed, 0) % 10000) <
-            options.fault_fraction * 10000.0;
-    if (faulted) {
-      plan.fault_seed = sub_seed;
-      switch (Draw(sub_seed, 5) % 3) {
-        case 0: plan.protection = 2; break;  // SECDED
-        case 1: plan.protection = 1; break;  // parity
-        default: plan.protection = 0; break;
-      }
-    }
-    const bool killed =
-        options.disconnect_fraction > 0.0 &&
-        static_cast<double>(Draw(sub_seed, 6) % 10000) <
-            options.disconnect_fraction * 10000.0;
-    if (killed && options.length >= 3) {
-      plan.kill_points = {options.length / 3, (2 * options.length) / 3};
-    }
-    const bool v2_features = options.renegotiate_fraction > 0.0 ||
-                             options.pipeline_fraction > 0.0;
-    // One in eight sessions runs as a v1 client when v2 features are on:
-    // the legacy conversation must stay untouched by the new frames.
-    plan.old_version = v2_features && Draw(sub_seed, 8) % 8 == 0;
-    if (!plan.old_version) {
-      if (options.renegotiate_fraction > 0.0 && options.length >= 8 &&
-          static_cast<double>(Draw(sub_seed, 7) % 10000) <
-              options.renegotiate_fraction * 10000.0) {
-        // Two mid-stream switches plus, on half of these sessions, one
-        // pinned exactly at the stream end — and occasionally an empty
-        // codec, delegating the choice to the server's policy.
-        auto pick = [&](std::uint64_t salt) -> std::string {
-          if (Draw(sub_seed, salt) % 5 == 0) return "";  // policy's choice
-          return palette[Draw(sub_seed, salt + 17) % palette.size()];
-        };
-        plan.renegotiations = {{options.length / 4, pick(9)},
-                               {(3 * options.length) / 5, pick(10)}};
-        if (Draw(sub_seed, 11) % 2 == 0) {
-          plan.renegotiations.push_back({options.length, pick(12)});
-        }
-      }
-      if (options.pipeline_fraction > 0.0 &&
-          static_cast<double>(Draw(sub_seed, 13) % 10000) <
-              options.pipeline_fraction * 10000.0) {
-        plan.submit_mode = Draw(sub_seed, 14) % 2 == 0
-                               ? SubmitMode::kPipelined
-                               : SubmitMode::kStreaming;
-      }
-    }
+  const unsigned clients = std::max(1u, options.clients);
+  std::vector<SoakSessionPlan> plans = service::PlanSoakSessions(
+      options, clients * std::max<std::size_t>(1, options.sessions_per_client));
+  std::vector<WireLegs> legs;
+  legs.reserve(plans.size());
+  for (SoakSessionPlan& plan : plans) {
+    legs.push_back(PlanWireLegs(plan, options));
   }
 
   // Concurrent wire clients, one thread per client, sessions sequential
-  // within a thread.
+  // within a thread; the fuzz swarm runs alongside.
   std::vector<std::thread> threads;
-  const unsigned clients = std::max(1u, options.clients);
   threads.reserve(clients + options.fuzz_connections);
   for (unsigned c = 0; c < clients; ++c) {
     threads.emplace_back([&, c]() {
       for (std::size_t i = c; i < plans.size(); i += clients) {
-        if (out_of_time()) {
-          ran_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        run_session_guarded(plans[i]);
+        if (soak.OutOfTime()) return;
+        WireSession(soak, plans[i], legs[i]).Run();
       }
     });
   }
-
-  // The fuzz swarm runs concurrently with the traffic: every violation
-  // in the catalogue must end in a protocol ERROR or an orderly close —
-  // a receive timeout means a wedged connection and fails the soak.
-  auto fuzz_fail = [&](std::size_t f, int which, const char* what) {
-    std::ostringstream out;
-    out << "fuzz[" << f << "] case " << which << ": " << what;
-    std::lock_guard<std::mutex> lock(mutex);
-    outcome.failures.push_back(out.str());
-  };
-  const Endpoint dial = ParseEndpoint(server.endpoint());
   for (std::size_t f = 0; f < options.fuzz_connections; ++f) {
-    threads.emplace_back([&, f]() {
-      std::mt19937_64 rng(verify::MixSeed(options.seed ^ (0xF022ULL + f)));
-      const std::vector<std::uint8_t> hello =
-          EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{}));
-      auto with_hello = [&](const std::vector<std::uint8_t>& frame) {
-        std::vector<std::uint8_t> bytes = hello;
-        bytes.insert(bytes.end(), frame.begin(), frame.end());
-        return bytes;
-      };
-      auto raw_case = [&](int which,
-                          const std::vector<std::uint8_t>& bytes,
-                          bool require_error) {
-        if (out_of_time()) return;
-        try {
-          RawConn conn(dial, options.io_timeout);
-          conn.Send(bytes);
-          conn.HalfClose();
-          fuzz_frames.fetch_add(1, std::memory_order_relaxed);
-          std::uint64_t errors_seen = 0;
-          const FuzzEnd end = conn.Outcome(&errors_seen);
-          fuzz_errors.fetch_add(errors_seen, std::memory_order_relaxed);
-          if (end == FuzzEnd::kWedged) {
-            fuzz_fail(f, which, "server wedged (receive timeout)");
-          } else if (end == FuzzEnd::kClosed && require_error) {
-            fuzz_fail(f, which,
-                      "expected a protocol ERROR before the close");
-          }
-        } catch (const NetError& e) {
-          fuzz_fail(f, which, e.what());
-        }
-      };
-
-      // 0: random garbage. A plausible garbage length prefix makes the
-      // server wait for the payload; the half-close turns that into a
-      // mid-frame EOF, so a clean close (no ERROR) is acceptable here.
-      std::vector<std::uint8_t> garbage(1 + rng() % 64);
-      for (std::uint8_t& byte : garbage) {
-        byte = static_cast<std::uint8_t>(rng());
-      }
-      raw_case(0, garbage, /*require_error=*/false);
-
-      // 1: length prefix far above the cap — rejected from the prefix
-      // alone, before any payload arrives.
-      raw_case(1, {0xFF, 0xFF, 0xFF, 0xFF}, /*require_error=*/true);
-
-      // 2: zero-length frame.
-      raw_case(2, {0x00, 0x00, 0x00, 0x00}, /*require_error=*/true);
-
-      // 3: unknown frame type after a valid HELLO.
-      raw_case(3,
-               with_hello(EncodeFrame(static_cast<FrameType>(0x63),
-                                      std::vector<std::uint8_t>())),
-               /*require_error=*/true);
-
-      // 4: HELLO with the wrong magic.
-      {
-        HelloRequest bad;
-        bad.magic = 0xDEADBEEFu;
-        raw_case(4, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
-                 /*require_error=*/true);
-      }
-
-      // 5: HELLO with no protocol version overlap.
-      {
-        HelloRequest bad;
-        bad.version_min = 99;
-        bad.version_max = 100;
-        raw_case(5, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
-                 /*require_error=*/true);
-      }
-
-      // 6: truncated frame then hard disconnect mid-frame — nothing to
-      // read back; the post-traffic health check proves no harm done.
-      if (!out_of_time()) {
-        try {
-          RawConn conn(dial, options.io_timeout);
-          conn.Send(hello);
-          const std::vector<std::uint8_t> open_frame =
-              EncodeFrame(FrameType::kOpen, EncodeOpen(OpenRequest{}));
-          conn.Send(std::span<const std::uint8_t>(open_frame.data(),
-                                                  open_frame.size() / 2));
-          fuzz_frames.fetch_add(1, std::memory_order_relaxed);
-        } catch (const NetError&) {
-        }
-      }
-
-      // 7: well-typed frame with trailing garbage after its payload —
-      // sender/receiver layout disagreement, must be rejected.
-      {
-        Writer writer;
-        writer.U64(1);           // CloseRequest.session_id
-        writer.U32(0xDEADBEEF);  // trailing garbage
-        raw_case(7, with_hello(EncodeFrame(FrameType::kClose, writer.Take())),
-                 /*require_error=*/true);
-      }
-
-      // 8: request-scoped errors must leave the connection usable — the
-      // same client that was refused twice then opens a real session.
-      if (!out_of_time()) {
-        try {
-          Client probe(client_options);
-          fuzz_frames.fetch_add(2, std::memory_order_relaxed);
-          bool refused = false;
-          try {
-            const std::vector<BusAccess> one(1);
-            probe.Submit(0xFFFFFFFFFFFFull, one);
-          } catch (const WireError& e) {
-            refused = e.status() == Status::kUnknownSession;
-            fuzz_errors.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!refused) {
-            fuzz_fail(f, 8, "unknown-session SUBMIT was not refused");
-          }
-          refused = false;
-          try {
-            OpenRequest bogus;
-            bogus.codec = "no-such-codec";
-            probe.Open(bogus);
-          } catch (const WireError& e) {
-            refused = e.status() == Status::kBadConfig;
-            fuzz_errors.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!refused) {
-            fuzz_fail(f, 8, "bogus-codec OPEN was not refused");
-          }
-          OpenRequest good;
-          good.codec = "t0";
-          const OpenReply opened = probe.Open(good);
-          probe.Close(opened.session_id);
-        } catch (const WireError& e) {
-          fuzz_fail(f, 8, e.what());
-        } catch (const NetError& e) {
-          fuzz_fail(f, 8, e.what());
-        }
-      }
-
-      // 9: capability-gated frames on a connection that never
-      // negotiated them (v1 HELLO) are framing violations — fatal
-      // ERROR, exactly like an unknown frame type.
-      {
-        HelloRequest v1;
-        v1.version_max = 1;
-        std::vector<std::uint8_t> bytes =
-            EncodeFrame(FrameType::kHello, EncodeHello(v1));
-        RenegotiateRequest reneg;
-        reneg.session_id = 1;
-        reneg.codec = "gray";
-        const std::vector<std::uint8_t> frame =
-            EncodeFrame(FrameType::kRenegotiate, EncodeRenegotiate(reneg));
-        bytes.insert(bytes.end(), frame.begin(), frame.end());
-        raw_case(9, bytes, /*require_error=*/true);
-      }
-    });
+    threads.emplace_back([&, f]() { RunFuzzConnection(soak, f); });
   }
-
   for (std::thread& thread : threads) thread.join();
 
-  // Post-fuzz health check: after everything above, the server must
-  // still carry one clean session end-to-end, bit-identical — once on
-  // the current protocol and once as a v1 old-version client, which
-  // must complete untouched by any v2 frame or field.
-  if (!out_of_time()) {
-    SessionPlan health;
-    health.index = plans.size();
-    health.codec_name = "t0";
-    health.stream = verify::GenerateStream(
-        families[0], verify::MixSeed(options.seed ^ 0x4EA17ULL),
-        std::max<std::size_t>(options.length, 16),
-        health.codec_options.width, health.codec_options.stride);
-    run_session_guarded(health);
+  RunHealthCheck(soak, plans.size());
 
-    SessionPlan legacy = health;
-    legacy.index = plans.size() + 1;
-    legacy.old_version = true;
-    run_session_guarded(legacy);
-  }
-
-  outcome.slowdowns = slowdowns.load();
-  outcome.rejections = rejections.load();
-  outcome.disconnects = disconnects.load();
-  outcome.resumes = resumes.load();
-  outcome.fuzz_frames = fuzz_frames.load();
-  outcome.fuzz_errors = fuzz_errors.load();
-  outcome.renegotiations = renegotiations.load();
-  outcome.renegotiate_refusals = renegotiate_refusals.load();
-  outcome.pipelined_sessions = pipelined_sessions.load();
-  outcome.old_version_sessions = old_version_sessions.load();
-  outcome.server = server.stats();
+  soak.outcome.server = server.stats();
   server.Stop();
-  outcome.timed_out = ran_out.load();
-  outcome.elapsed_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  return outcome;
+  soak.outcome.elapsed_s = clock.ElapsedSeconds();
+  return std::move(soak.outcome);
 }
 
 }  // namespace abenc::net

@@ -1,28 +1,31 @@
-// net_soak: the encoding service's network front-end under concurrent
-// wire clients, disconnect injection and a malformed-frame fuzz swarm.
-//
-// Starts a loopback abenc_serve instance, drives --clients concurrent
-// connections through the full wire path (HELLO/OPEN/SUBMIT backpressure
-// /DRAIN-STATS/CLOSE, with a --disconnect-fraction of the sessions
-// killed mid-stream — the second kill mid-frame — and resumed via
-// ATTACH), runs --fuzz hostile connections through the protocol
-// violation catalogue concurrently, then verifies every session's
-// wire-reported accounting bit-for-bit against a serial
-// EvaluateWithSchedule() of the identical stream.
+// net_soak: the soak core over the wire (net/net_soak.h). Serves the
+// planned sessions from a loopback abenc_serve to --clients concurrent
+// connections (a --disconnect-fraction of them killed mid-stream and
+// resumed via ATTACH) while --fuzz hostile connections walk the
+// protocol-violation catalogue, and puts each session through the
+// core's gate.
 //
 // Exit status: 0 soak passed; 1 verification failures; 2 time budget
 // exceeded or bad usage. See EXPERIMENTS.md for the flag reference.
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
+#include "core/cli_flags.h"
 #include "net/net_soak.h"
 
 namespace {
 
+using abenc::MatchCount;
+using abenc::MatchFlag;
+using abenc::MatchFraction;
+using abenc::MatchMillis;
 using abenc::net::NetSoakOptions;
 using abenc::net::NetSoakOutcome;
 using abenc::net::RunNetSoak;
+using abenc::service::ParseSoakFlag;
+using abenc::service::ReportSoakExit;
 
 [[noreturn]] void Usage(const std::string& error) {
   std::cerr << "net_soak: " << error << "\n"
@@ -36,73 +39,28 @@ using abenc::net::RunNetSoak;
   std::exit(2);
 }
 
-/// `--flag value` and `--flag=value`, mirroring service_soak.
-bool TakeValue(int argc, char** argv, int& i, const std::string& flag,
-               std::string& value) {
-  const std::string arg = argv[i];
-  if (arg == flag) {
-    if (i + 1 >= argc) Usage(flag + " requires a value");
-    value = argv[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   NetSoakOptions options;
   for (int i = 1; i < argc; ++i) {
-    std::string value;
     try {
-      if (TakeValue(argc, argv, i, "--clients", value)) {
-        options.clients = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--sessions-per-client", value)) {
-        options.sessions_per_client = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--length", value)) {
-        options.length = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--seed", value)) {
-        options.seed = std::stoull(value);
-      } else if (TakeValue(argc, argv, i, "--codec", value)) {
-        options.codec = value;
-      } else if (TakeValue(argc, argv, i, "--chunk", value)) {
-        options.chunk = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--queue-cap", value)) {
-        options.queue_capacity = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--watermark", value)) {
-        options.slowdown_watermark = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--fault-fraction", value)) {
-        options.fault_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--disconnect-fraction", value)) {
-        options.disconnect_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--renegotiate-fraction", value)) {
-        options.renegotiate_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--pipeline-fraction", value)) {
-        options.pipeline_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--shards", value)) {
-        options.shards = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--parallelism", value)) {
-        options.parallelism = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--fuzz", value)) {
-        options.fuzz_connections = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--endpoint", value)) {
-        options.endpoint = value;
-      } else if (TakeValue(argc, argv, i, "--io-timeout-ms", value)) {
-        options.io_timeout = std::chrono::milliseconds(std::stoll(value));
-      } else if (TakeValue(argc, argv, i, "--time-budget-s", value)) {
-        options.time_budget_s = std::stod(value);
-      } else {
-        Usage(std::string("unknown flag ") + argv[i]);
+      if (ParseSoakFlag(argc, argv, i, options) ||
+          MatchCount("--sessions-per-client", argc, argv, i,
+                     options.sessions_per_client) ||
+          MatchFraction("--disconnect-fraction", argc, argv, i,
+                        options.disconnect_fraction) ||
+          MatchFraction("--pipeline-fraction", argc, argv, i,
+                        options.pipeline_fraction) ||
+          MatchCount("--fuzz", argc, argv, i, options.fuzz_connections) ||
+          MatchFlag("--endpoint", argc, argv, i, options.endpoint) ||
+          MatchMillis("--io-timeout-ms", argc, argv, i, options.io_timeout)) {
+        continue;
       }
-    } catch (const std::invalid_argument&) {
-      Usage(std::string("bad value for ") + argv[i]);
-    } catch (const std::out_of_range&) {
-      Usage(std::string("bad value for ") + argv[i]);
+    } catch (const std::invalid_argument& e) {
+      Usage(e.what());
     }
+    Usage(std::string("unknown flag ") + argv[i]);
   }
 
   NetSoakOutcome outcome;
@@ -139,20 +97,5 @@ int main(int argc, char** argv) {
             << " frames out, " << outcome.server.protocol_errors
             << " protocol errors, " << outcome.server.timeouts
             << " timeouts\n";
-
-  if (outcome.timed_out) {
-    std::cerr << "net_soak: TIME BUDGET EXCEEDED ("
-              << options.time_budget_s << "s)\n";
-    return 2;
-  }
-  if (!outcome.failures.empty()) {
-    std::cerr << "net_soak: " << outcome.failures.size()
-              << " failure(s):\n";
-    for (const std::string& failure : outcome.failures) {
-      std::cerr << "  " << failure << "\n";
-    }
-    return 1;
-  }
-  std::cout << "  bit-identity vs serial EvaluateWithSchedule: OK\n";
-  return 0;
+  return ReportSoakExit("net_soak", outcome, options.time_budget_s);
 }

@@ -18,14 +18,20 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "core/cli_flags.h"
 #include "net/server.h"
 #include "service/soak.h"
 
 namespace {
 
+using abenc::MatchCount;
+using abenc::MatchFlag;
+using abenc::MatchMillis;
 using abenc::net::Server;
 using abenc::net::ServerConfig;
 
@@ -36,21 +42,6 @@ using abenc::net::ServerConfig;
             << "  [--read-timeout-ms N] [--write-timeout-ms N]\n"
             << "  [--fault-planner] [--fault-length N]\n";
   std::exit(2);
-}
-
-bool TakeValue(int argc, char** argv, int& i, const std::string& flag,
-               std::string& value) {
-  const std::string arg = argv[i];
-  if (arg == flag) {
-    if (i + 1 >= argc) Usage(flag + " requires a value");
-    value = argv[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -64,32 +55,27 @@ int main(int argc, char** argv) {
   bool fault_planner = false;
   std::size_t fault_length = 512;
   for (int i = 1; i < argc; ++i) {
-    std::string value;
     try {
-      if (TakeValue(argc, argv, i, "--endpoint", value)) {
-        config.endpoint = value;
-      } else if (TakeValue(argc, argv, i, "--shards", value)) {
-        config.service.shards = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--parallelism", value)) {
-        config.service.parallelism =
-            static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--max-frame-bytes", value)) {
-        config.max_frame_bytes = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--read-timeout-ms", value)) {
-        config.read_timeout = std::chrono::milliseconds(std::stoll(value));
-      } else if (TakeValue(argc, argv, i, "--write-timeout-ms", value)) {
-        config.write_timeout = std::chrono::milliseconds(std::stoll(value));
-      } else if (std::string(argv[i]) == "--fault-planner") {
-        fault_planner = true;
-      } else if (TakeValue(argc, argv, i, "--fault-length", value)) {
-        fault_length = std::stoul(value);
-      } else {
-        Usage(std::string("unknown flag ") + argv[i]);
+      if (MatchFlag("--endpoint", argc, argv, i, config.endpoint) ||
+          MatchCount("--shards", argc, argv, i, config.service.shards) ||
+          MatchCount("--parallelism", argc, argv, i,
+                     config.service.parallelism) ||
+          MatchCount("--max-frame-bytes", argc, argv, i,
+                     config.max_frame_bytes) ||
+          MatchMillis("--read-timeout-ms", argc, argv, i,
+                      config.read_timeout) ||
+          MatchMillis("--write-timeout-ms", argc, argv, i,
+                      config.write_timeout) ||
+          MatchCount("--fault-length", argc, argv, i, fault_length)) {
+        continue;
       }
-    } catch (const std::invalid_argument&) {
-      Usage(std::string("bad value for ") + argv[i]);
-    } catch (const std::out_of_range&) {
-      Usage(std::string("bad value for ") + argv[i]);
+    } catch (const std::invalid_argument& e) {
+      Usage(e.what());
+    }
+    if (std::string_view(argv[i]) == "--fault-planner") {
+      fault_planner = true;
+    } else {
+      Usage(std::string("unknown flag ") + argv[i]);
     }
   }
   if (fault_planner) {
@@ -98,14 +84,15 @@ int main(int argc, char** argv) {
     };
   }
 
-  Server server(std::move(config));
+  std::unique_ptr<Server> server;
   try {
-    server.Start();
+    server = std::make_unique<Server>(std::move(config));
+    server->Start();
   } catch (const std::exception& e) {
     std::cerr << "abenc_serve: " << e.what() << "\n";
     return 2;
   }
-  std::cout << "abenc_serve: listening on " << server.endpoint()
+  std::cout << "abenc_serve: listening on " << server->endpoint()
             << std::endl;
 
   std::signal(SIGINT, HandleSignal);
@@ -114,8 +101,8 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  const abenc::net::ServerStats stats = server.stats();
-  server.Stop();
+  const abenc::net::ServerStats stats = server->stats();
+  server->Stop();
   std::cout << "abenc_serve: stopped ("
             << stats.connections_accepted << " connections, "
             << stats.frames_received << " frames in, "

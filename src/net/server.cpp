@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "service/renegotiation.h"
+
 namespace abenc::net {
 namespace {
 
@@ -514,9 +516,8 @@ class Server::Loop {
         snapshot->switch_pending || snapshot->degraded) {
       return "";
     }
-    return config_.renegotiation.Recommend(snapshot->window,
-                                           snapshot->width,
-                                           snapshot->active_codec);
+    return service::RecommendCodec(snapshot->window, snapshot->width,
+                                   snapshot->active_codec);
   }
 
   void HandleDrainStats(Conn& conn, const Frame& frame) {

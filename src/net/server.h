@@ -40,7 +40,6 @@
 
 #include "net/protocol.h"
 #include "net/sockets.h"
-#include "service/renegotiation.h"
 #include "service/service.h"
 
 namespace abenc::net {
@@ -62,9 +61,6 @@ struct ServerConfig {
   /// in force are the intersection with what the client offered in a
   /// v2 HELLO (v1 connections always negotiate zero).
   std::uint32_t capabilities = kDefaultCapabilities;
-  /// Server-side codec recommendation policy (kCapRenegotiate): feeds
-  /// the SUBMIT_ACK hint and resolves an empty-codec RENEGOTIATE.
-  service::RenegotiationPolicy renegotiation;
   /// The underlying encoding service.
   service::ServiceConfig service;
   /// Test/soak hook: maps OPEN's fault_seed to a deterministic channel

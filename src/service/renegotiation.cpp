@@ -1,32 +1,24 @@
 #include "service/renegotiation.h"
 
-#include <algorithm>
-
 namespace abenc::service {
 
-bool RenegotiationPolicy::InPalette(const std::string& codec_name) const {
-  return std::find(palette.begin(), palette.end(), codec_name) !=
-         palette.end();
-}
-
-std::string RenegotiationPolicy::Recommend(const AdaptiveWindowStats& window,
-                                           unsigned width,
-                                           const std::string& active) const {
-  if (window.accesses < min_window_accesses) return "";
+std::string RecommendCodec(const AdaptiveWindowStats& window, unsigned width,
+                           const std::string& active) {
+  if (window.accesses < kMinWindowAccesses) return "";
 
   const double accesses = static_cast<double>(window.accesses);
   const double sel_fraction =
       static_cast<double>(window.sel_high) / accesses;
   const bool mixed_sel =
-      sel_fraction >= mixed_sel_low && sel_fraction <= mixed_sel_high;
+      sel_fraction >= kMixedSelLow && sel_fraction <= kMixedSelHigh;
 
   std::string candidate;
-  if (window.in_sequence_percent() >= sequential_in_seq_percent) {
+  if (window.in_sequence_percent() >= kSequentialInSeqPercent) {
     // Sequential regime: T0 freezes the bus on in-sequence steps; on a
     // multiplexed stream the dual code keeps one history per source.
     candidate = mixed_sel ? "dual-t0-bi" : "t0";
   } else if (window.toggle_density() >
-             static_cast<double>(width) * dense_toggle_fraction) {
+             static_cast<double>(width) * kDenseToggleFraction) {
     // Random-like regime: bus-invert bounds the per-cycle toggle count.
     candidate = "bus-invert";
   } else {
@@ -35,14 +27,12 @@ std::string RenegotiationPolicy::Recommend(const AdaptiveWindowStats& window,
     const auto unit = window.stride_histogram.find(Word{1});
     if (unit != window.stride_histogram.end() && window.accesses > 1 &&
         static_cast<double>(unit->second) >=
-            unit_stride_fraction * static_cast<double>(window.accesses - 1)) {
+            kUnitStrideFraction * static_cast<double>(window.accesses - 1)) {
       candidate = "gray";
     }
   }
 
-  if (candidate.empty() || candidate == active || !InPalette(candidate)) {
-    return "";
-  }
+  if (candidate == active) return "";
   return candidate;
 }
 

@@ -10,10 +10,10 @@ EncodingService::EncodingService(ServiceConfig config)
   if (config_.shards == 0) {
     throw std::invalid_argument("EncodingService: shards must be nonzero");
   }
-  const Shard::Policy policy{config_.drain_batch, config_.idle_evict_steps};
   shards_.reserve(config_.shards);
   for (unsigned i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, policy, &metrics_));
+    shards_.push_back(
+        std::make_unique<Shard>(i, config_.idle_evict_steps, &metrics_));
   }
   if (config_.start_drivers) {
     const unsigned workers = config_.parallelism != 0

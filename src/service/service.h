@@ -53,7 +53,6 @@ struct ServiceConfig {
   /// tests use.
   bool start_drivers = true;
 
-  std::size_t drain_batch = 256;
   std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
   /// Defaults for OpenSession() without an explicit config.
   SessionConfig session;

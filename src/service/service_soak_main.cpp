@@ -1,28 +1,29 @@
-// service_soak: the always-on encoding service under load and faults.
-//
-// Spins up --sessions simultaneous sessions (codec, stream family and
-// fault models rotated deterministically from --seed), pushes every
-// stream through the bounded admission path from --clients threads
-// (optionally via the zero-copy columnar path, and with mid-stream
-// codec renegotiations issued at deterministic thresholds), drains,
-// then verifies each session's accounting bit-for-bit against a serial
-// EvaluateWithSchedule() of the same stream and reconciles every
-// transport delivery (clean/corrected/recovered/degraded must sum to the
-// transfer count — no silent corruption).
+// service_soak: the soak core run in-process (service/soak.h).
+// Opens --sessions simultaneous planned sessions, pushes every stream
+// through the bounded admission path from --clients threads, drains,
+// and puts each session through the core's gate.
 //
 // Exit status: 0 soak passed; 1 verification failures; 2 time budget
 // exceeded or bad usage. See EXPERIMENTS.md for the flag reference.
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "core/cli_flags.h"
 #include "obs/metrics.h"
 #include "obs/metrics_json.h"
 #include "service/soak.h"
 
 namespace {
 
+using abenc::MatchCount;
+using abenc::MatchFlag;
+using abenc::MatchFraction;
+using abenc::service::ParseSoakFlag;
+using abenc::service::ReportSoakExit;
 using abenc::service::RunSoak;
 using abenc::service::SoakOptions;
 using abenc::service::SoakOutcome;
@@ -39,73 +40,29 @@ using abenc::service::SoakOutcome;
   std::exit(2);
 }
 
-/// `--flag value` and `--flag=value`, mirroring ParseBenchOptions.
-bool TakeValue(int argc, char** argv, int& i, const std::string& flag,
-               std::string& value) {
-  const std::string arg = argv[i];
-  if (arg == flag) {
-    if (i + 1 >= argc) Usage(flag + " requires a value");
-    value = argv[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   SoakOptions options;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
-    std::string value;
     try {
-      if (TakeValue(argc, argv, i, "--sessions", value)) {
-        options.sessions = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--length", value)) {
-        options.length = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--shards", value)) {
-        options.shards = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--parallelism", value)) {
-        options.parallelism = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--clients", value)) {
-        options.clients = static_cast<unsigned>(std::stoul(value));
-      } else if (TakeValue(argc, argv, i, "--seed", value)) {
-        options.seed = std::stoull(value);
-      } else if (TakeValue(argc, argv, i, "--codec", value)) {
-        options.codec = value;
-      } else if (TakeValue(argc, argv, i, "--queue-cap", value)) {
-        options.queue_capacity = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--watermark", value)) {
-        options.slowdown_watermark = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--chunk", value)) {
-        options.chunk = std::stoul(value);
-      } else if (TakeValue(argc, argv, i, "--fault-fraction", value)) {
-        options.fault_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--renegotiate-fraction", value)) {
-        options.renegotiate_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--columnar-fraction", value)) {
-        options.columnar_fraction = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--evict-idle", value)) {
-        options.idle_evict_steps = std::stoull(value);
-      } else if (TakeValue(argc, argv, i, "--budget", value)) {
-        options.access_budget = std::stoull(value);
-      } else if (std::string(argv[i]) == "--stall-shard") {
-        options.stall_shard = true;
-      } else if (TakeValue(argc, argv, i, "--time-budget-s", value)) {
-        options.time_budget_s = std::stod(value);
-      } else if (TakeValue(argc, argv, i, "--metrics", value)) {
-        metrics_path = value;
-      } else {
-        Usage(std::string("unknown flag ") + argv[i]);
+      if (ParseSoakFlag(argc, argv, i, options) ||
+          MatchCount("--sessions", argc, argv, i, options.sessions) ||
+          MatchFraction("--columnar-fraction", argc, argv, i,
+                        options.columnar_fraction) ||
+          MatchCount("--evict-idle", argc, argv, i, options.idle_evict_steps) ||
+          MatchCount("--budget", argc, argv, i, options.access_budget) ||
+          MatchFlag("--metrics", argc, argv, i, metrics_path)) {
+        continue;
       }
-    } catch (const std::invalid_argument&) {
-      Usage(std::string("bad value for ") + argv[i]);
-    } catch (const std::out_of_range&) {
-      Usage(std::string("bad value for ") + argv[i]);
+    } catch (const std::invalid_argument& e) {
+      Usage(e.what());
+    }
+    if (std::string_view(argv[i]) == "--stall-shard") {
+      options.stall_shard = true;
+    } else {
+      Usage(std::string("unknown flag ") + argv[i]);
     }
   }
 
@@ -116,7 +73,13 @@ int main(int argc, char** argv) {
     install = std::make_unique<abenc::obs::ScopedInstall>(registry.get());
   }
 
-  const SoakOutcome outcome = RunSoak(options);
+  SoakOutcome outcome;
+  try {
+    outcome = RunSoak(options);
+  } catch (const std::exception& e) {
+    std::cerr << "service_soak: fatal: " << e.what() << "\n";
+    return 1;
+  }
 
   std::cout << "service_soak: " << outcome.sessions << " sessions, "
             << outcome.accesses << " accesses in " << outcome.elapsed_s
@@ -139,20 +102,5 @@ int main(int argc, char** argv) {
     abenc::obs::WriteMetricsFile(metrics_path, *registry);
     std::cout << "  metrics written to " << metrics_path << "\n";
   }
-
-  if (outcome.timed_out) {
-    std::cerr << "service_soak: TIME BUDGET EXCEEDED ("
-              << options.time_budget_s << "s)\n";
-    return 2;
-  }
-  if (!outcome.failures.empty()) {
-    std::cerr << "service_soak: " << outcome.failures.size()
-              << " verification failure(s):\n";
-    for (const std::string& failure : outcome.failures) {
-      std::cerr << "  " << failure << "\n";
-    }
-    return 1;
-  }
-  std::cout << "  bit-identity vs serial EvaluateWithSchedule: OK\n";
-  return 0;
+  return ReportSoakExit("service_soak", outcome, options.time_budget_s);
 }

@@ -83,10 +83,10 @@ Session::Session(std::uint64_t id, SessionConfig config,
       mask_(LowMask(config_.codec_options.width)),
       acc_codec_(MakeCodec(config_.codec_name, config_.codec_options)),
       accounting_(acc_codec_->width(), acc_codec_->redundant_lines(),
-                  config_.stride_for_stats),
+                  kStatsStride),
       acc_codec_name_(acc_codec_->name()),
       active_codec_name_(config_.codec_name),
-      stats_tracker_(config_.codec_options.width, config_.stride_for_stats,
+      stats_tracker_(config_.codec_options.width, kStatsStride,
                      config_.stats_window) {
   BuildTransport();
 }
@@ -104,23 +104,26 @@ void Session::BuildTransport() {
   channel_config.codec_name = active_codec_name_;
   channel_config.codec_options = config_.codec_options;
   channel_config.protection = config_.protection;
-  channel_config.resync_period = config_.resync_period;
   channel_config.enable_recovery = config_.channel_recovery;
   channel_ = std::make_unique<BusChannel>(channel_config);
   if (config_.fault_installer) config_.fault_installer(*channel_);
   degraded_ = false;
 }
 
-Admission Session::Submit(std::span<const BusAccess> batch) {
-  if (batch.empty()) return Admission::kAccepted;
+ColumnBatch ColumnBatch::FromRows(std::span<const BusAccess> rows) {
   ColumnBatch columns;
-  columns.addresses.reserve(batch.size());
-  columns.sel.reserve(batch.size());
-  for (const BusAccess& access : batch) {
+  columns.addresses.reserve(rows.size());
+  columns.sel.reserve(rows.size());
+  for (const BusAccess& access : rows) {
     columns.addresses.push_back(access.address);
     columns.sel.push_back(access.sel ? 1 : 0);
   }
-  return SubmitColumns(std::move(columns));
+  return columns;
+}
+
+Admission Session::Submit(std::span<const BusAccess> batch) {
+  if (batch.empty()) return Admission::kAccepted;
+  return SubmitColumns(ColumnBatch::FromRows(batch));
 }
 
 Admission Session::SubmitColumns(ColumnBatch&& batch) {

@@ -110,6 +110,9 @@ struct ColumnBatch {
 
   std::size_t size() const { return addresses.size(); }
   std::size_t remaining() const { return addresses.size() - offset; }
+
+  /// The column form of `rows`, nothing processed yet.
+  static ColumnBatch FromRows(std::span<const BusAccess> rows);
 };
 
 /// Outcome of a Renegotiate() request. Refusals are total: nothing about
@@ -204,16 +207,17 @@ inline void Bump(obs::Counter* counter, std::uint64_t delta = 1) {
   if (counter) counter->Increment(delta);
 }
 
+/// Stride of every session's in-sequence statistic: Evaluate()'s default
+/// `stride_for_stats` (independent of the codec's own stride).
+inline constexpr Word kStatsStride = 4;
+
 struct SessionConfig {
   std::string codec_name = "t0";
   CodecOptions codec_options;
-  /// Stride passed to the in-sequence statistic, exactly Evaluate()'s
-  /// `stride_for_stats` (independent of the codec's own stride).
-  Word stride_for_stats = 4;
 
-  // Transport: the session's BusChannel.
+  // Transport: the session's BusChannel. It resyncs on demand only (no
+  // periodic beacons).
   Protection protection = Protection::kSecded;
-  std::size_t resync_period = 0;  // periodic beacons; 0 = on-demand only
   bool channel_recovery = false;  // the channel's own demote/promote FSM
   /// Installed on the channel at (re-)admission — the soak harness's
   /// fault injection hook. Must be deterministic per session.

@@ -36,15 +36,15 @@ bool Shard::Step() {
   bool worked = false;
   for (const std::shared_ptr<Session>& session : sessions) {
     if (dead()) break;
-    const std::size_t processed = session->DrainStep(policy_.drain_batch);
+    const std::size_t processed = session->DrainStep(kDrainBatch);
     worked |= processed != 0;
     // Eviction policy: bounded state for quiet or over-budget sessions.
     // Evict() itself re-checks eligibility (active, queue empty) under
     // the session's locks, so these are cheap pre-filters.
     if (session->OverBudget()) {
       session->Evict();
-    } else if (processed == 0 && policy_.idle_evict_steps != 0 &&
-               session->idle_steps() >= policy_.idle_evict_steps &&
+    } else if (processed == 0 && idle_evict_steps_ != 0 &&
+               session->idle_steps() >= idle_evict_steps_ &&
                session->state() == SessionState::kActive) {
       session->Evict();
     }

@@ -36,13 +36,13 @@ namespace abenc::service {
 
 class Shard {
  public:
-  struct Policy {
-    std::size_t drain_batch = 256;       // accesses per session per step
-    std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
-  };
+  /// Accesses drained per session per Step().
+  static constexpr std::size_t kDrainBatch = 256;
 
-  Shard(unsigned index, Policy policy, const ServiceMetrics* metrics)
-      : index_(index), policy_(policy), metrics_(metrics) {}
+  /// `idle_evict_steps` 0 = never idle-evict.
+  Shard(unsigned index, std::uint64_t idle_evict_steps,
+        const ServiceMetrics* metrics)
+      : index_(index), idle_evict_steps_(idle_evict_steps), metrics_(metrics) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -77,7 +77,7 @@ class Shard {
 
  private:
   const unsigned index_;
-  const Policy policy_;
+  const std::uint64_t idle_evict_steps_;
   const ServiceMetrics* metrics_;
 
   mutable std::mutex mutex_;  // guards sessions_ and stall_hook_

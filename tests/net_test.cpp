@@ -797,26 +797,36 @@ TEST(NetServerTest, UnixSocketEndpointWorks) {
 }
 
 // A miniature in-process soak: a handful of concurrent clients with
-// disconnects, faults and fuzz — the full harness at CI-friendly scale.
+// disconnects, faults and fuzz — the full harness at CI-friendly scale;
+// then again with the switch schedule and SUBMIT_STREAM legs on.
 TEST(NetSoakTest, MiniatureSoakPassesBitIdentity) {
-  NetSoakOptions options;
-  options.clients = 6;
-  options.length = 96;
-  options.fuzz_connections = 2;
-  options.seed = 7;
-  options.time_budget_s = 120.0;
-  const NetSoakOutcome outcome = RunNetSoak(options);
-  for (const std::string& failure : outcome.failures) {
-    ADD_FAILURE() << failure;
+  for (const double fraction : {0.0, 0.5}) {
+    SCOPED_TRACE(fraction);
+    NetSoakOptions options;
+    options.clients = 6;
+    options.length = 96;
+    options.fuzz_connections = 2;
+    options.seed = 7;
+    options.time_budget_s = 120.0;
+    options.renegotiate_fraction = fraction;
+    options.pipeline_fraction = fraction;
+    const NetSoakOutcome outcome = RunNetSoak(options);
+    for (const std::string& failure : outcome.failures) {
+      ADD_FAILURE() << failure;
+    }
+    EXPECT_FALSE(outcome.timed_out);
+    // 6 planned + the post-fuzz health check, which runs twice: once on
+    // the current protocol version and once as a v1 legacy client.
+    EXPECT_EQ(outcome.sessions, 8u);
+    EXPECT_GE(outcome.old_version_sessions, 1u);
+    EXPECT_GT(outcome.disconnects, 0u);
+    EXPECT_EQ(outcome.disconnects, outcome.resumes);
+    EXPECT_GT(outcome.fuzz_errors, 0u);
+    if (fraction > 0.0) {
+      EXPECT_GT(outcome.renegotiations, 0u);
+      EXPECT_GT(outcome.pipelined_sessions, 0u);
+    }
   }
-  EXPECT_FALSE(outcome.timed_out);
-  // 6 planned + the post-fuzz health check, which runs twice: once on
-  // the current protocol version and once as a v1 legacy client.
-  EXPECT_EQ(outcome.sessions, 8u);
-  EXPECT_GE(outcome.old_version_sessions, 1u);
-  EXPECT_GT(outcome.disconnects, 0u);
-  EXPECT_EQ(outcome.disconnects, outcome.resumes);
-  EXPECT_GT(outcome.fuzz_errors, 0u);
 }
 
 }  // namespace

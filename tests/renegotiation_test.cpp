@@ -32,7 +32,7 @@ using service::Admission;
 using service::EncodingService;
 using service::RenegotiateOutcome;
 using service::RenegotiateStatus;
-using service::RenegotiationPolicy;
+using service::RecommendCodec;
 using service::ServiceConfig;
 using service::SessionConfig;
 using service::SessionReport;
@@ -273,39 +273,35 @@ TEST(RenegotiationSessionTest, RefusedMidRecoveryWhileChannelInFallback) {
 // ---- recommendation policy -------------------------------------------
 
 TEST(RenegotiationPolicyTest, RegimesMapToPaletteMembers) {
-  const RenegotiationPolicy policy;
   AdaptiveWindowStats window;
 
   // Too little signal: no recommendation.
   window.accesses = 8;
-  EXPECT_EQ(policy.Recommend(window, 32, "binary"), "");
+  EXPECT_EQ(RecommendCodec(window, 32, "binary"), "");
 
   // Sequential regime -> t0.
   window.accesses = 64;
   window.in_sequence = 60;
   window.sel_high = 64;
-  EXPECT_EQ(policy.Recommend(window, 32, "binary"), "t0");
+  EXPECT_EQ(RecommendCodec(window, 32, "binary"), "t0");
   // ...but never a switch to the codec already active.
-  EXPECT_EQ(policy.Recommend(window, 32, "t0"), "");
+  EXPECT_EQ(RecommendCodec(window, 32, "t0"), "");
 
   // Sequential and genuinely multiplexed -> the dual code.
   window.sel_high = 32;
-  EXPECT_EQ(policy.Recommend(window, 32, "binary"), "dual-t0-bi");
+  EXPECT_EQ(RecommendCodec(window, 32, "binary"), "dual-t0-bi");
 
   // Random-like dense toggling -> bus-invert.
   AdaptiveWindowStats dense;
   dense.accesses = 64;
   dense.raw_toggles = 64 * 16;  // density 16 > 32 * 0.25
-  EXPECT_EQ(policy.Recommend(dense, 32, "t0"), "bus-invert");
+  EXPECT_EQ(RecommendCodec(dense, 32, "t0"), "bus-invert");
 
   // Unit-stride counting -> gray.
   AdaptiveWindowStats unit;
   unit.accesses = 64;
   unit.stride_histogram[1] = 40;  // >= 0.5 * (accesses - 1)
-  EXPECT_EQ(policy.Recommend(unit, 32, "t0"), "gray");
-
-  EXPECT_TRUE(policy.InPalette("gray"));
-  EXPECT_FALSE(policy.InPalette("adaptive"));
+  EXPECT_EQ(RecommendCodec(unit, 32, "t0"), "gray");
 }
 
 // ---- wire layer ------------------------------------------------------

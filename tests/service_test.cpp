@@ -704,22 +704,33 @@ TEST(WatchdogTest, FailsOverAWedgedShardAndNoWorkIsLost) {
 }
 
 TEST(SoakTest, SmokeRunIsBitIdenticalUnderFaults) {
-  SoakOptions options;
-  options.sessions = 48;
-  options.length = 150;
-  options.shards = 2;
-  options.parallelism = 2;
-  options.clients = 2;
-  options.seed = 5;
-  options.queue_capacity = 96;
-  options.slowdown_watermark = 64;
-  options.chunk = 32;
-  const SoakOutcome outcome = RunSoak(options);
-  EXPECT_TRUE(outcome.ok()) << (outcome.failures.empty()
-                                    ? "timed out"
-                                    : outcome.failures.front());
-  EXPECT_EQ(outcome.sessions, 48u);
-  EXPECT_EQ(outcome.accesses, 48u * 150u);
+  // The plain run, then the same run with the switch schedule and the
+  // columnar submit leg on.
+  for (const double fraction : {0.0, 0.5}) {
+    SCOPED_TRACE(fraction);
+    SoakOptions options;
+    options.sessions = 48;
+    options.length = 150;
+    options.shards = 2;
+    options.parallelism = 2;
+    options.clients = 2;
+    options.seed = 5;
+    options.queue_capacity = 96;
+    options.slowdown_watermark = 64;
+    options.chunk = 32;
+    options.renegotiate_fraction = fraction;
+    options.columnar_fraction = fraction;
+    const SoakOutcome outcome = RunSoak(options);
+    EXPECT_TRUE(outcome.ok()) << (outcome.failures.empty()
+                                      ? "timed out"
+                                      : outcome.failures.front());
+    EXPECT_EQ(outcome.sessions, 48u);
+    EXPECT_EQ(outcome.accesses, 48u * 150u);
+    if (fraction > 0.0) {
+      EXPECT_GT(outcome.renegotiations, 0u);
+      EXPECT_GT(outcome.columnar_sessions, 0u);
+    }
+  }
 }
 
 TEST(SoakTest, EvictionChurnStaysBitIdentical) {
@@ -737,6 +748,74 @@ TEST(SoakTest, EvictionChurnStaysBitIdentical) {
                                     ? "timed out"
                                     : outcome.failures.front());
   EXPECT_GT(outcome.evicted_sessions, 0u);
+}
+
+// ---- the soak core's gate ----------------------------------------------
+
+/// A read-back equal to the oracle's: t0 switched to gray at 200, reset
+/// points at the switch and at 300 (an eviction), every transfer clean,
+/// the queue peaking exactly at its capacity.
+struct GateFixture {
+  std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kMultiplexed, 21, 400);
+  std::vector<CodecSwitchPoint> acked = {{200, "gray"}};
+  GateInput input;
+  ReadBack read_back;
+
+  GateFixture() {
+    input.codec_name = "t0";
+    input.stream = stream;
+    input.acked = acked;
+    input.queue_capacity = 256;
+    read_back.applied = acked;
+    read_back.reset_points = {200, 300};
+    read_back.result = EvaluateWithSchedule("t0", CodecOptions{}, stream,
+                                            acked, read_back.reset_points);
+    read_back.transport.transfers = read_back.transport.clean = stream.size();
+    read_back.peak_queue_depth = 256;
+  }
+};
+
+TEST(GateSabotageTest, FaithfulReadBackPasses) {
+  const GateFixture fixture;
+  EXPECT_TRUE(CheckServedSession(fixture.input, fixture.read_back).empty());
+  ReadBack wire = fixture.read_back;  // the wire adds the admitted count
+  wire.admitted = fixture.stream.size();
+  EXPECT_TRUE(CheckServedSession(fixture.input, wire).empty());
+}
+
+TEST(GateSabotageTest, EachMutationFailsExactlyItsCheck) {
+  const GateFixture fixture;
+  struct Sabotage {
+    GateCheck check;
+    void (*mutate)(ReadBack&);
+  };
+  const Sabotage sabotages[] = {
+      {GateCheck::kAdmitted,
+       [](ReadBack& r) { r.admitted = r.result.stream_length - 1; }},
+      {GateCheck::kLength, [](ReadBack& r) { --r.result.stream_length; }},
+      {GateCheck::kSchedule,
+       [](ReadBack& r) { r.applied.push_back({350, "t0"}); }},
+      {GateCheck::kTransitions, [](ReadBack& r) { ++r.result.transitions; }},
+      {GateCheck::kPeak, [](ReadBack& r) { ++r.result.peak_transitions; }},
+      {GateCheck::kPerLine, [](ReadBack& r) { ++r.result.per_line[3]; }},
+      {GateCheck::kInSequence,
+       [](ReadBack& r) { r.result.in_sequence_percent += 0.25; }},
+      {GateCheck::kReconciliation, [](ReadBack& r) { ++r.transport.clean; }},
+      {GateCheck::kTransfers,
+       [](ReadBack& r) {
+         ++r.transport.transfers;  // reconciled, but one transfer too many
+         ++r.transport.clean;
+       }},
+      {GateCheck::kQueueCapacity, [](ReadBack& r) { ++r.peak_queue_depth; }},
+  };
+  for (const Sabotage& sabotage : sabotages) {
+    SCOPED_TRACE(GateCheckName(sabotage.check));
+    ReadBack read_back = fixture.read_back;
+    sabotage.mutate(read_back);
+    EXPECT_EQ(CheckServedSession(fixture.input, read_back),
+              std::vector<GateCheck>{sabotage.check});
+  }
 }
 
 }  // namespace
