@@ -77,9 +77,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kBeaconPeriod = 64;
   constexpr std::size_t kInjections = 24;
 
-  const std::vector<std::string> codes = {
-      "binary", "gray-word", "bus-invert", "t0",     "t0-bi", "dual-t0",
-      "dual-t0-bi", "inc-xor", "offset",   "working-zone",    "mtf"};
+  const std::vector<std::string> codes = UpsetStudyCodecNames();
 
   std::cout << "Extension: power overhead vs recovery bound per protection "
                "layer\n(gzip multiplexed stream, "

@@ -29,12 +29,7 @@ int main() {
   TextTable table({"Code", "Avg corrupted addrs", "Worst observed",
                    "Worst recovery (cycles)"});
   constexpr std::size_t kInjections = 60;
-  for (const std::string& name :
-       {std::string("binary"), std::string("gray-word"),
-        std::string("bus-invert"), std::string("t0"), std::string("t0-bi"),
-        std::string("dual-t0"), std::string("dual-t0-bi"),
-        std::string("inc-xor"), std::string("offset"),
-        std::string("working-zone"), std::string("mtf")}) {
+  for (const std::string& name : UpsetStudyCodecNames()) {
     const double average =
         AverageUpsetCorruption(name, options, accesses, kInjections, 77);
     // Probe a few fixed spots for the worst case.

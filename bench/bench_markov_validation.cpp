@@ -14,8 +14,7 @@ int main() {
 
   constexpr unsigned kWidth = 32;
   constexpr Word kStride = 4;
-  const std::vector<std::string> codes = {"binary", "gray-word", "t0",
-                                          "bus-invert", "inc-xor"};
+  const std::vector<std::string> codes = MarkovModelCodes();
 
   std::cout << "Markov-model validation: expected transitions/cycle, model "
                "vs measured\n(32-bit bus, stride 4, jumps uniform over the "

@@ -1,5 +1,7 @@
 #include "bench/power_util.h"
 
+#include <utility>
+
 #include "sim/program_library.h"
 
 namespace abenc::bench {
@@ -16,35 +18,23 @@ std::vector<BusAccess> ReferenceStream(std::size_t per_benchmark) {
   return stream;
 }
 
-namespace {
-
-SimulatedCodec MakeSimulated(std::string name, gate::CodecCircuit encoder,
-                             gate::CodecCircuit decoder) {
-  SimulatedCodec simulated;
-  simulated.name = std::move(name);
-  simulated.encoder = std::move(encoder);
-  simulated.decoder = std::move(decoder);
-  return simulated;
-}
-
-}  // namespace
-
 std::vector<SimulatedCodec> SimulateSection4Codecs(
     const std::vector<BusAccess>& stream, double output_load_pf) {
   constexpr unsigned kWidth = 32;
   constexpr Word kStride = 4;
+  // The paper's name for each codec, and its factory name.
+  constexpr std::pair<const char*, const char*> kSection4[] = {
+      {"Binary", "binary"}, {"T0", "t0"}, {"Dual T0_BI", "dual-t0-bi"}};
 
   std::vector<SimulatedCodec> codecs;
-  codecs.push_back(MakeSimulated(
-      "Binary", gate::BuildBinaryEncoder(kWidth, output_load_pf),
-      gate::BuildBinaryDecoder(kWidth, output_load_pf)));
-  codecs.push_back(MakeSimulated(
-      "T0", gate::BuildT0Encoder(kWidth, kStride, output_load_pf),
-      gate::BuildT0Decoder(kWidth, kStride, output_load_pf)));
-  codecs.push_back(MakeSimulated(
-      "Dual T0_BI",
-      gate::BuildDualT0BIEncoder(kWidth, kStride, output_load_pf),
-      gate::BuildDualT0BIDecoder(kWidth, kStride, output_load_pf)));
+  for (const auto& [label, codec_name] : kSection4) {
+    gate::CircuitPair pair =
+        gate::BuildCircuitPair(codec_name, kWidth, kStride, output_load_pf);
+    SimulatedCodec& codec = codecs.emplace_back();
+    codec.name = label;
+    codec.encoder = std::move(pair.encoder);
+    codec.decoder = std::move(pair.decoder);
+  }
 
   for (SimulatedCodec& codec : codecs) {
     codec.encoder_sim =

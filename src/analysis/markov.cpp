@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 #include "analysis/analytical.h"
 
@@ -20,39 +21,74 @@ void CheckArguments(unsigned width, Word stride, double p) {
   }
 }
 
+/// One dedicated-bus closed form, in the in-sequence probability p,
+/// binary's counting cost C = 2 (1 - 2^-(N-s)), the jump Hamming cost
+/// J = (N-s)/2 and the varying line count N-s, where s = log2(stride).
+struct MarkovModel {
+  std::string_view code;  // factory name
+  bool exact;             // false: an approximation, bounded by test
+  double (*expected)(double p, double c, double j, unsigned varying);
+};
+
+constexpr MarkovModel kModels[] = {
+    // Sequential steps count in binary; a uniform jump flips each
+    // varying line with probability 1/2.
+    {"binary", true,
+     [](double p, double c, double j, unsigned) {
+       return p * c + (1.0 - p) * j;
+     }},
+    // One transition per sequential step; a Gray bijection preserves the
+    // uniform distribution, so jumps still cost half the varying lines.
+    {"gray-word", true,
+     [](double p, double, double j, unsigned) {
+       return p * 1.0 + (1.0 - p) * j;
+     }},
+    // Lines are frozen during runs and jump to a uniform value otherwise;
+    // the INC flag is a two-state chain with flip rate 2p(1-p).
+    {"t0", true,
+     [](double p, double, double j, unsigned) {
+       return (1.0 - p) * j + 2.0 * p * (1.0 - p);
+     }},
+    // Sequential steps behave like binary counting (tiny Hamming, never
+    // inverted); jumps see the majority decision over the varying lines.
+    // Approximate: the real code thresholds over all N+1 lines while only
+    // N-s ever vary, and an inverted cycle flips the frozen low lines
+    // too, coupling consecutive decisions.
+    {"bus-invert", false,
+     [](double p, double c, double, unsigned varying) {
+       return p * c + (1.0 - p) * BusInvertEta(varying);
+     }},
+    // Like T0's line cost, with no redundant line at all.
+    {"inc-xor", true,
+     [](double p, double, double j, unsigned) { return (1.0 - p) * j; }},
+};
+
+const MarkovModel& FindModel(const std::string& code) {
+  for (const MarkovModel& model : kModels) {
+    if (model.code == code) return model;
+  }
+  throw std::invalid_argument("no Markov model for code '" + code + "'");
+}
+
 }  // namespace
+
+std::vector<std::string> MarkovModelCodes() {
+  std::vector<std::string> codes;
+  for (const MarkovModel& model : kModels) codes.emplace_back(model.code);
+  return codes;
+}
+
+bool MarkovModelIsExact(const std::string& code) {
+  return FindModel(code).exact;
+}
 
 double MarkovExpectedTransitions(const std::string& code, unsigned width,
                                  Word stride, double p) {
   CheckArguments(width, stride, p);
-  const unsigned s = Log2(stride);
-  const unsigned varying = width - s;  // lines that ever switch
-  const double jump_hamming = static_cast<double>(varying) / 2.0;
-  const double counting = BinaryCountingTransitions(width, stride);
-
-  if (code == "binary") {
-    return p * counting + (1.0 - p) * jump_hamming;
-  }
-  if (code == "gray-word") {
-    // One transition per sequential step; a Gray bijection preserves the
-    // uniform distribution, so jumps still cost half the varying lines.
-    return p * 1.0 + (1.0 - p) * jump_hamming;
-  }
-  if (code == "t0") {
-    // Lines are frozen during runs and jump to a uniform value otherwise;
-    // the INC flag is a two-state chain with flip rate 2p(1-p).
-    return (1.0 - p) * jump_hamming + 2.0 * p * (1.0 - p);
-  }
-  if (code == "inc-xor") {
-    // Like T0's line cost, with no redundant line at all.
-    return (1.0 - p) * jump_hamming;
-  }
-  if (code == "bus-invert") {
-    // Sequential steps behave like binary counting (tiny Hamming, never
-    // inverted); jumps see the majority decision over the varying lines.
-    return p * counting + (1.0 - p) * BusInvertEta(varying);
-  }
-  throw std::invalid_argument("no Markov model for code '" + code + "'");
+  const unsigned varying = width - Log2(stride);  // lines that ever switch
+  return FindModel(code).expected(
+      p, BinaryCountingTransitions(width, stride),
+      static_cast<double>(varying) / 2.0, varying);
 }
 
 double MarkovMuxedExpectedTransitions(const std::string& code,

@@ -8,26 +8,24 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/types.h"
 
 namespace abenc {
 
+/// The factory names of every code with a dedicated-bus closed form, in
+/// the order of the table in markov.cpp, which derives each form.
+std::vector<std::string> MarkovModelCodes();
+
+/// Whether `code`'s form is exact in the stationary limit; false for an
+/// approximation, whose error against Monte-Carlo (≤ ~6 % across the
+/// axis at N = 32, S = 4) is bounded by test. Throws
+/// std::invalid_argument for a code without a model.
+bool MarkovModelIsExact(const std::string& code);
+
 /// Expected bus transitions per cycle (all driven lines, redundant
-/// included) in the stationary regime, for `code` in
-///   "binary", "gray-word", "t0", "bus-invert", "inc-xor".
-/// Derivations (s = log2(stride), so only the top N-s lines ever vary):
-///   binary:     p * C + (1-p) * (N-s)/2,  C = 2 (1 - 2^-(N-s))
-///   gray-word:  p * 1 + (1-p) * (N-s)/2          (bijection on jumps)
-///   t0:         (1-p) * (N-s)/2 + 2 p (1-p)      (INC flag flips)
-///   inc-xor:    (1-p) * (N-s)/2                  (no redundant line)
-///   bus-invert: p * C + (1-p) * eta(N-s)         (majority on jumps)
-/// The first four forms are exact in the stationary limit. The
-/// bus-invert form is an approximation: the real code thresholds over
-/// all N+1 lines while only N-s ever vary, and an inverted cycle flips
-/// the frozen low lines too, coupling consecutive decisions. The error
-/// is a few percent (≤ ~6 % across the axis at N = 32, S = 4), bounded
-/// by test against Monte-Carlo.
+/// included) in the stationary regime, for a `code` of MarkovModelCodes().
 double MarkovExpectedTransitions(const std::string& code, unsigned width,
                                  Word stride, double p_in_sequence);
 
@@ -56,8 +54,9 @@ double MarkovCrossoverProbability(const std::string& code_a,
 ///   dual-t0-bi: dual-t0's frozen slots, eta-priced data slots; the
 ///               INCV rate folds both triggers. This last form shares
 ///               the bus-invert approximation of the dedicated-bus model
-///               (documented there); the others are exact in the
-///               stationary limit. Validated against Monte-Carlo by test.
+///               (documented at its row in markov.cpp); the others are
+///               exact in the stationary limit. Validated against
+///               Monte-Carlo by test.
 double MarkovMuxedExpectedTransitions(const std::string& code,
                                       unsigned width, Word stride,
                                       double p_in_sequence,

@@ -36,4 +36,10 @@ double AverageUpsetCorruption(const std::string& codec_name,
                                 stream, injections, seed);
 }
 
+std::vector<std::string> UpsetStudyCodecNames() {
+  return {"binary",  "gray-word",  "bus-invert", "t0",
+          "t0-bi",   "dual-t0",    "dual-t0-bi", "inc-xor",
+          "offset",  "working-zone", "mtf"};
+}
+
 }  // namespace abenc

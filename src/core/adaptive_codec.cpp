@@ -1,6 +1,8 @@
 #include "core/adaptive_codec.h"
 
 #include <algorithm>
+#include <set>
+#include <string_view>
 #include <utility>
 
 namespace abenc {
@@ -45,9 +47,15 @@ AdaptiveCodec::AdaptiveCodec(unsigned width, std::vector<std::string> palette,
   if (hysteresis_ < 0) {
     throw CodecConfigError("adaptive hysteresis must be non-negative");
   }
+  std::set<std::string_view> seen;
   for (const std::string& name : palette_) {
     if (name == "adaptive") {
       throw CodecConfigError("adaptive palette cannot contain itself");
+    }
+    // A repeat costs what its first copy costs in every window, so it is
+    // never chosen; refusing it bounds a palette by the factory's codecs.
+    if (!seen.insert(name).second) {
+      throw CodecConfigError("adaptive palette repeats member '" + name + "'");
     }
   }
   for (End* end : {&enc_, &dec_}) {

@@ -1,6 +1,7 @@
 #include "core/codec_factory.h"
 
 #include <memory>
+#include <string_view>
 
 #include "core/adaptive_codec.h"
 #include "core/beach_codec.h"
@@ -18,68 +19,71 @@
 #include "core/working_zone_codec.h"
 
 namespace abenc {
+namespace {
 
-CodecPtr MakeCodec(const std::string& name, const CodecOptions& o) {
-  if (name == "binary") return std::make_unique<BinaryCodec>(o.width);
-  if (name == "gray") return std::make_unique<GrayCodec>(o.width, 1);
-  if (name == "gray-word") {
-    return std::make_unique<GrayCodec>(o.width, o.stride);
-  }
-  if (name == "bus-invert") {
-    return std::make_unique<BusInvertCodec>(o.width, o.partitions);
-  }
-  if (name == "t0") return std::make_unique<T0Codec>(o.width, o.stride);
-  if (name == "t0-bi") return std::make_unique<T0BICodec>(o.width, o.stride);
-  if (name == "dual-t0") {
-    return std::make_unique<DualT0Codec>(o.width, o.stride);
-  }
-  if (name == "dual-t0-bi") {
-    return std::make_unique<DualT0BICodec>(o.width, o.stride);
-  }
-  if (name == "offset") return std::make_unique<OffsetCodec>(o.width);
-  if (name == "inc-xor") {
-    return std::make_unique<IncXorCodec>(o.width, o.stride);
-  }
-  if (name == "working-zone") {
-    return std::make_unique<WorkingZoneCodec>(o.width, o.wz_zones,
-                                              o.wz_offset_bits);
-  }
-  if (name == "beach") {
-    return std::make_unique<BeachCodec>(o.width, o.beach_cluster_bits);
-  }
-  if (name == "beach-corr") {
-    return std::make_unique<BeachCodec>(o.width, o.beach_cluster_bits,
-                                        BeachCodec::Clustering::kCorrelation);
-  }
-  if (name == "mtf") return std::make_unique<MtfCodec>(o.width, o.mtf_entries);
-  if (name == "couple-invert") {
-    return std::make_unique<CoupleInvertCodec>(o.width, o.coupling_lambda);
-  }
-  if (name == "adaptive") {
-    // Members are built through this same factory with the caller's
-    // options (width, stride, partitions, ...); the palette cannot
-    // contain "adaptive" itself, so the recursion is one level deep.
-    return std::make_unique<AdaptiveCodec>(
-        o.width, AdaptiveCodec::ParsePalette(o.adaptive_palette),
-        o.adaptive_window, o.adaptive_hysteresis, o.stride,
-        [o](const std::string& member) { return MakeCodec(member, o); });
+using Options = CodecOptions;
+
+/// Builds a C from the listed option fields, in constructor order.
+template <typename C, auto... Fields>
+CodecPtr Make(const CodecOptions& o) {
+  return std::make_unique<C>(o.*Fields...);
+}
+
+struct CodecRow {
+  std::string_view name;
+  CodecPtr (*build)(const CodecOptions& o);
+};
+
+// The registry: MakeCodec looks a name up here and AllCodecNames() lists
+// the names in this order.
+constexpr CodecRow kCodecs[] = {
+    {"binary", Make<BinaryCodec, &Options::width>},
+    {"gray", Make<GrayCodec, &Options::width>},
+    {"gray-word", Make<GrayCodec, &Options::width, &Options::stride>},
+    {"bus-invert", Make<BusInvertCodec, &Options::width, &Options::partitions>},
+    {"t0", Make<T0Codec, &Options::width, &Options::stride>},
+    {"t0-bi", Make<T0BICodec, &Options::width, &Options::stride>},
+    {"dual-t0", Make<DualT0Codec, &Options::width, &Options::stride>},
+    {"dual-t0-bi", Make<DualT0BICodec, &Options::width, &Options::stride>},
+    {"offset", Make<OffsetCodec, &Options::width>},
+    {"inc-xor", Make<IncXorCodec, &Options::width, &Options::stride>},
+    {"working-zone", Make<WorkingZoneCodec, &Options::width,
+                          &Options::wz_zones, &Options::wz_offset_bits>},
+    {"beach", Make<BeachCodec, &Options::width, &Options::beach_cluster_bits>},
+    {"beach-corr",
+     [](const CodecOptions& o) -> CodecPtr {
+       return std::make_unique<BeachCodec>(
+           o.width, o.beach_cluster_bits,
+           BeachCodec::Clustering::kCorrelation);
+     }},
+    {"mtf", Make<MtfCodec, &Options::width, &Options::mtf_entries>},
+    {"couple-invert",
+     Make<CoupleInvertCodec, &Options::width, &Options::coupling_lambda>},
+    {"adaptive",
+     [](const CodecOptions& o) -> CodecPtr {
+       // Members are built through MakeCodec with the caller's options
+       // (width, stride, partitions, ...); the palette cannot contain
+       // "adaptive" itself, so the recursion is one level deep.
+       return std::make_unique<AdaptiveCodec>(
+           o.width, AdaptiveCodec::ParsePalette(o.adaptive_palette),
+           o.adaptive_window, o.adaptive_hysteresis, o.stride,
+           [o](const std::string& member) { return MakeCodec(member, o); });
+     }},
+};
+
+}  // namespace
+
+CodecPtr MakeCodec(const std::string& name, const CodecOptions& options) {
+  for (const CodecRow& row : kCodecs) {
+    if (row.name == name) return row.build(options);
   }
   throw CodecConfigError("unknown codec name: " + name);
 }
 
-std::vector<std::string> ExistingCodecNames() {
-  return {"binary", "t0", "bus-invert"};
-}
-
-std::vector<std::string> MixedCodecNames() {
-  return {"t0-bi", "dual-t0", "dual-t0-bi"};
-}
-
 std::vector<std::string> AllCodecNames() {
-  return {"binary",     "gray",   "gray-word", "bus-invert",
-          "t0",         "t0-bi",  "dual-t0",   "dual-t0-bi",
-          "offset",     "inc-xor", "working-zone", "beach", "beach-corr", "mtf",
-          "couple-invert", "adaptive"};
+  std::vector<std::string> names;
+  for (const CodecRow& row : kCodecs) names.emplace_back(row.name);
+  return names;
 }
 
 }  // namespace abenc

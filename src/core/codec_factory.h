@@ -28,22 +28,13 @@ struct CodecOptions {
   std::string adaptive_palette;
 };
 
-/// Create a codec by machine name. Known names:
-///   "binary", "gray", "gray-word" (stride-aware Gray), "bus-invert",
-///   "t0", "t0-bi", "dual-t0", "dual-t0-bi",
-///   "offset", "inc-xor", "working-zone", "beach", "beach-corr", "mtf",
-///   "couple-invert", "adaptive" (windowed meta-codec over a member
-///   palette, built recursively through this factory).
-/// Throws CodecConfigError for unknown names or invalid options.
+/// Create a codec by machine name: one of AllCodecNames(). "adaptive" (a
+/// windowed meta-codec over a member palette) builds its members through
+/// this factory. Throws CodecConfigError for unknown names or invalid
+/// options.
 CodecPtr MakeCodec(const std::string& name, const CodecOptions& options = {});
 
-/// Names of the "existing" codes compared in Tables 2-4 (binary first).
-std::vector<std::string> ExistingCodecNames();
-
-/// Names of the mixed codes proposed by the paper (Tables 5-7).
-std::vector<std::string> MixedCodecNames();
-
-/// Every code the factory knows about.
+/// Every code the factory knows about, in registration order.
 std::vector<std::string> AllCodecNames();
 
 }  // namespace abenc

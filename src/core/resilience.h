@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/codec_factory.h"
 #include "core/stream_evaluator.h"
@@ -50,5 +51,9 @@ double AverageUpsetCorruption(const std::string& codec_name,
                               const CodecOptions& options,
                               std::span<const BusAccess> stream,
                               std::size_t injections, std::uint64_t seed);
+
+/// The codes the upset studies (bench_error_resilience,
+/// bench_channel_protection) compare, in report order.
+std::vector<std::string> UpsetStudyCodecNames();
 
 }  // namespace abenc

@@ -1,6 +1,8 @@
 #include "gate/circuits.h"
 
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "gate/simulator.h"
 
@@ -460,6 +462,52 @@ CodecCircuit BuildDualT0BIDecoder(unsigned width, Word stride,
   }
   MarkDataOutputs(c, output_load_pf, "b");
   return c;
+}
+
+namespace {
+
+/// Binary and bus-invert have no incrementer: stride and style do not
+/// apply to them.
+template <CodecCircuit (*Build)(unsigned, double)>
+CodecCircuit WithoutAdder(unsigned width, Word, double load, AdderStyle) {
+  return Build(width, load);
+}
+
+struct CircuitRow {
+  std::string_view codec;  // factory name
+  CodecCircuit (*encoder)(unsigned, Word, double, AdderStyle);
+  CodecCircuit (*decoder)(unsigned, Word, double, AdderStyle);
+};
+
+constexpr CircuitRow kCircuits[] = {
+    {"binary", WithoutAdder<BuildBinaryEncoder>,
+     WithoutAdder<BuildBinaryDecoder>},
+    {"t0", BuildT0Encoder, BuildT0Decoder},
+    {"bus-invert", WithoutAdder<BuildBusInvertEncoder>,
+     WithoutAdder<BuildBusInvertDecoder>},
+    {"t0-bi", BuildT0BIEncoder, BuildT0BIDecoder},
+    {"dual-t0", BuildDualT0Encoder, BuildDualT0Decoder},
+    {"dual-t0-bi", BuildDualT0BIEncoder, BuildDualT0BIDecoder},
+};
+
+}  // namespace
+
+CircuitPair BuildCircuitPair(const std::string& codec, unsigned width,
+                             Word stride, double output_load_pf,
+                             AdderStyle style) {
+  for (const CircuitRow& row : kCircuits) {
+    if (row.codec == codec) {
+      return {row.encoder(width, stride, output_load_pf, style),
+              row.decoder(width, stride, output_load_pf, style)};
+    }
+  }
+  throw std::invalid_argument("no gate-level circuit for codec: " + codec);
+}
+
+std::vector<std::string> CircuitCodecNames() {
+  std::vector<std::string> names;
+  for (const CircuitRow& row : kCircuits) names.emplace_back(row.codec);
+  return names;
 }
 
 std::map<NetId, bool> DriveInputs(const CodecCircuit& circuit, Word address,

@@ -1,9 +1,10 @@
-// Gate-level implementations of the Section 4 codecs: binary, T0 and
-// dual T0_BI encoders and decoders, synthesised structurally from the
+// Gate-level implementations of the Section 4 codecs (the encoders and
+// decoders of CircuitCodecNames()), synthesised structurally from the
 // cell catalogue and verified against the behavioural codecs by test.
 #pragma once
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/types.h"
@@ -73,6 +74,21 @@ CodecCircuit BuildDualT0BIEncoder(unsigned width, Word stride,
 CodecCircuit BuildDualT0BIDecoder(unsigned width, Word stride,
                                   double output_load_pf,
                                   AdderStyle style = AdderStyle::kRipple);
+
+/// A codec's encoder and the decoder that inverts it.
+struct CircuitPair {
+  CodecCircuit encoder;
+  CodecCircuit decoder;
+};
+
+/// The circuit pair of the codec with factory name `codec`, one of
+/// CircuitCodecNames(). Throws std::invalid_argument for any other name.
+CircuitPair BuildCircuitPair(const std::string& codec, unsigned width,
+                             Word stride, double output_load_pf,
+                             AdderStyle style = AdderStyle::kRipple);
+
+/// The factory names BuildCircuitPair covers, in registration order.
+std::vector<std::string> CircuitCodecNames();
 
 /// Input assignment for one cycle of a codec circuit.
 std::map<NetId, bool> DriveInputs(const CodecCircuit& circuit, Word address,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "analysis/markov.h"
 #include "core/experiment.h"
@@ -13,40 +12,6 @@
 
 namespace abenc::verify {
 namespace {
-
-struct GatePair {
-  gate::CodecCircuit encoder;
-  gate::CodecCircuit decoder;
-};
-
-GatePair BuildGatePair(const std::string& name, const CodecOptions& o) {
-  constexpr double kLoad = 0.2;
-  if (name == "binary") {
-    return {gate::BuildBinaryEncoder(o.width, kLoad),
-            gate::BuildBinaryDecoder(o.width, kLoad)};
-  }
-  if (name == "t0") {
-    return {gate::BuildT0Encoder(o.width, o.stride, kLoad),
-            gate::BuildT0Decoder(o.width, o.stride, kLoad)};
-  }
-  if (name == "bus-invert") {
-    return {gate::BuildBusInvertEncoder(o.width, kLoad),
-            gate::BuildBusInvertDecoder(o.width, kLoad)};
-  }
-  if (name == "t0-bi") {
-    return {gate::BuildT0BIEncoder(o.width, o.stride, kLoad),
-            gate::BuildT0BIDecoder(o.width, o.stride, kLoad)};
-  }
-  if (name == "dual-t0") {
-    return {gate::BuildDualT0Encoder(o.width, o.stride, kLoad),
-            gate::BuildDualT0Decoder(o.width, o.stride, kLoad)};
-  }
-  if (name == "dual-t0-bi") {
-    return {gate::BuildDualT0BIEncoder(o.width, o.stride, kLoad),
-            gate::BuildDualT0BIDecoder(o.width, o.stride, kLoad)};
-  }
-  throw std::invalid_argument("no gate-level circuit for codec: " + name);
-}
 
 std::string HexWord(Word value) {
   std::ostringstream out;
@@ -64,15 +29,13 @@ bool SameResult(const EvalResult& a, const EvalResult& b) {
 
 }  // namespace
 
-std::vector<std::string> GateVerifiableCodecs() {
-  return {"binary", "t0", "bus-invert", "t0-bi", "dual-t0", "dual-t0-bi"};
-}
-
 std::optional<PropertyFailure> CheckGateEquivalence(
     const std::string& codec_name, const CodecOptions& options,
     std::span<const BusAccess> stream, const CodecFactoryFn& factory) {
   const CodecPtr reference = factory(codec_name, options);
-  const GatePair pair = BuildGatePair(codec_name, options);
+  // Output load prices power only; it does not change the logic.
+  const gate::CircuitPair pair = gate::BuildCircuitPair(
+      codec_name, options.width, options.stride, /*output_load_pf=*/0.2);
   gate::GateSimulator encoder_sim(pair.encoder.netlist);
   gate::GateSimulator decoder_sim(pair.decoder.netlist);
   const Word mask = LowMask(reference->width());
@@ -111,10 +74,6 @@ std::optional<PropertyFailure> CheckGateEquivalence(
   return std::nullopt;
 }
 
-std::vector<std::string> MarkovVerifiableCodecs() {
-  return {"binary", "gray-word", "t0", "bus-invert", "inc-xor"};
-}
-
 std::optional<PropertyFailure> CheckMarkovOracle(
     const std::string& codec_name, unsigned width, Word stride,
     double p_in_sequence, std::uint64_t seed, std::size_t length,
@@ -134,10 +93,8 @@ std::optional<PropertyFailure> CheckMarkovOracle(
           .average_transitions_per_cycle();
   const double predicted =
       MarkovExpectedTransitions(codec_name, width, stride, p_in_sequence);
-  // The bus-invert closed form is a documented approximation; the others
-  // are exact up to Monte-Carlo noise (see analysis/markov.h).
   const double tolerance =
-      (codec_name == "bus-invert" ? 0.06 : 0.02) * predicted + 0.05;
+      (MarkovModelIsExact(codec_name) ? 0.02 : 0.06) * predicted + 0.05;
   if (std::abs(measured - predicted) > tolerance) {
     std::ostringstream message;
     message << codec_name << ": measured " << measured

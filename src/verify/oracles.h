@@ -13,25 +13,20 @@
 
 namespace abenc::verify {
 
-/// Codecs that have gate-level encoder/decoder builders in src/gate.
-std::vector<std::string> GateVerifiableCodecs();
-
 /// Drive the synthesised encoder and decoder netlists cycle-by-cycle in
 /// lockstep with the behavioural codec built by `factory`: the encoder
 /// must reproduce every BusState bit-exactly and the decoder must
-/// recover the address. Requires a codec named by GateVerifiableCodecs().
+/// recover the address. Requires a codec named by gate::CircuitCodecNames().
 std::optional<PropertyFailure> CheckGateEquivalence(
     const std::string& codec_name, const CodecOptions& options,
     std::span<const BusAccess> stream, const CodecFactoryFn& factory);
 
-/// Codecs with closed-form Markov predictions in analysis/markov.h.
-std::vector<std::string> MarkovVerifiableCodecs();
-
 /// Monte-Carlo the behavioural codec over a synthetic Markov stream with
 /// in-sequence probability `p_in_sequence` and compare the measured
 /// average transitions per cycle against MarkovExpectedTransitions.
-/// Tolerances follow the model's documentation: the bus-invert form is
-/// an approximation (6 %), the others are exact (2 % Monte-Carlo slack).
+/// Requires a codec named by MarkovModelCodes(). Tolerances follow
+/// MarkovModelIsExact: 2 % Monte-Carlo slack for an exact form, 6 % for
+/// an approximate one.
 std::optional<PropertyFailure> CheckMarkovOracle(
     const std::string& codec_name, unsigned width, Word stride,
     double p_in_sequence, std::uint64_t seed, std::size_t length,

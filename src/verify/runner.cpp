@@ -3,6 +3,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "analysis/markov.h"
+#include "gate/circuits.h"
 #include "obs/metrics.h"
 
 namespace abenc::verify {
@@ -64,14 +66,14 @@ std::vector<Instance> EnumerateInstances(const VerifyConfig& config) {
       }
     }
   }
-  for (const std::string& codec : GateVerifiableCodecs()) {
+  for (const std::string& codec : gate::CircuitCodecNames()) {
     for (StreamFamily family : AllStreamFamilies()) {
       instances.push_back(Instance{InstanceKind::kGate,
                                    "gate:" + codec + ":" + FamilyName(family),
                                    "", codec, family});
     }
   }
-  for (const std::string& codec : MarkovVerifiableCodecs()) {
+  for (const std::string& codec : MarkovModelCodes()) {
     instances.push_back(
         Instance{InstanceKind::kMarkov, "markov:" + codec, "", codec});
   }

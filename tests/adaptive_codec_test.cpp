@@ -89,6 +89,23 @@ TEST(AdaptiveConfigTest, RejectsBadConfigurations) {
   options = CodecOptions{};
   options.adaptive_palette = "binary,,t0";  // empty entry
   EXPECT_THROW(MakeCodec("adaptive", options), CodecConfigError);
+
+  // A palette holds each factory codec at most once: every one of them
+  // together builds and round-trips, and one repeat past that is refused.
+  std::string every_member;
+  for (const std::string& name : AllCodecNames()) {
+    if (name != "adaptive") every_member += "," + name;
+  }
+  options = CodecOptions{};
+  options.adaptive_palette = every_member.substr(1);
+  const auto failure =
+      CheckUniversalProperty("round-trip", "adaptive", options,
+                             SequentialThenRandom(200, 200),
+                             DefaultCodecFactory());
+  EXPECT_FALSE(failure.has_value()) << (failure ? failure->message : "");
+
+  options.adaptive_palette += ",t0";
+  EXPECT_THROW(MakeCodec("adaptive", options), CodecConfigError);
 }
 
 TEST(AdaptiveConfigTest, ParsePaletteSplitsAndDefaults) {

@@ -32,12 +32,6 @@ const std::vector<BusAccess>& GzipStream() {
   return stream;
 }
 
-// The codes bench_error_resilience compares.
-const std::vector<std::string> kResilienceCodes = {
-    "binary",     "gray-word", "bus-invert", "t0",           "t0-bi",
-    "dual-t0",    "dual-t0-bi", "inc-xor",   "offset",
-    "working-zone", "mtf"};
-
 // The codes whose decoder carries history across cycles.
 const std::vector<std::string> kHistoryCodes = {
     "t0",     "t0-bi",  "dual-t0",      "dual-t0-bi",
@@ -279,7 +273,7 @@ TEST(ChannelAcceptanceTest, SecdedZeroCorruptionUnderResilienceSweep) {
   // fixed probe grid) must decode with ZERO corrupted addresses once
   // SECDED check lines ride along — for every code.
   const auto& stream = GzipStream();
-  for (const std::string& code : kResilienceCodes) {
+  for (const std::string& code : UpsetStudyCodecNames()) {
     const ChannelConfig config = Configure(code, Protection::kSecded);
     EXPECT_EQ(AverageUpsetCorruption(config, stream, 60, 77), 0.0) << code;
     for (std::size_t cycle = 500; cycle < stream.size();

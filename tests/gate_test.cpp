@@ -120,11 +120,6 @@ TEST(PowerTest, PadPowerUsesExternalLoad) {
 // Gate codecs vs behavioural codecs, cycle by cycle
 // ---------------------------------------------------------------------------
 
-struct GatePair {
-  CodecCircuit encoder;
-  CodecCircuit decoder;
-};
-
 void CheckEquivalence(Codec& reference, const CodecCircuit& enc,
                       const CodecCircuit& dec,
                       const std::vector<BusAccess>& stream) {
@@ -259,30 +254,10 @@ TEST_P(GateEquivalenceSweep, NetlistMatchesBehaviouralCodec) {
   options.width = w;
   options.stride = s;
   auto reference = MakeCodec(param.code, options);
-
-  CodecCircuit enc;
-  CodecCircuit dec;
-  const std::string code = param.code;
-  if (code == "binary") {
-    enc = BuildBinaryEncoder(w, load);
-    dec = BuildBinaryDecoder(w, load);
-  } else if (code == "t0") {
-    enc = BuildT0Encoder(w, s, load, param.style);
-    dec = BuildT0Decoder(w, s, load, param.style);
-  } else if (code == "bus-invert") {
-    enc = BuildBusInvertEncoder(w, load);
-    dec = BuildBusInvertDecoder(w, load);
-  } else if (code == "t0-bi") {
-    enc = BuildT0BIEncoder(w, s, load, param.style);
-    dec = BuildT0BIDecoder(w, s, load, param.style);
-  } else if (code == "dual-t0") {
-    enc = BuildDualT0Encoder(w, s, load, param.style);
-    dec = BuildDualT0Decoder(w, s, load, param.style);
-  } else {
-    enc = BuildDualT0BIEncoder(w, s, load, param.style);
-    dec = BuildDualT0BIDecoder(w, s, load, param.style);
-  }
-  CheckEquivalence(*reference, enc, dec, MixedStream(w, 300));
+  const CircuitPair pair =
+      BuildCircuitPair(param.code, w, s, load, param.style);
+  CheckEquivalence(*reference, pair.encoder, pair.decoder,
+                   MixedStream(w, 300));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,6 +289,10 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.style == AdderStyle::kPrefix ? "_prefix"
                                                       : "_ripple");
     });
+
+TEST(GateCodecTest, CircuitPairRejectsCodecsWithoutACircuit) {
+  EXPECT_THROW(BuildCircuitPair("gray", 8, 4, 0.2), std::invalid_argument);
+}
 
 TEST(GateCodecTest, T0EncoderIsQuietOnSequentialStreams) {
   const unsigned width = 32;

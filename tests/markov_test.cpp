@@ -37,18 +37,16 @@ TEST_P(MarkovModelTest, ClosedFormMatchesMonteCarlo) {
   const double predicted =
       MarkovExpectedTransitions(code, kWidth, kStride, p);
   const double measured = MonteCarlo(code, p);
-  // The first four forms are exact (2% Monte-Carlo slack); the
-  // bus-invert form is a documented approximation (see analysis/markov.h)
-  // bounded at 6%.
+  // Exact forms get 2% Monte-Carlo slack; an approximate form (see
+  // analysis/markov.h) is bounded at 6%.
   const double tolerance =
-      (code == "bus-invert" ? 0.06 : 0.02) * predicted + 0.05;
+      (MarkovModelIsExact(code) ? 0.02 : 0.06) * predicted + 0.05;
   EXPECT_NEAR(measured, predicted, tolerance) << code << " at p = " << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CodesAndProbabilities, MarkovModelTest,
-    ::testing::Combine(::testing::Values("binary", "gray-word", "t0",
-                                         "bus-invert", "inc-xor"),
+    ::testing::Combine(::testing::ValuesIn(MarkovModelCodes()),
                        ::testing::Values(0.0, 0.3, 0.6, 0.9)),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);

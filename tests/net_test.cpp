@@ -691,8 +691,17 @@ TEST(NetServerTest, RequestScopedErrorsKeepConnectionUsable) {
   } catch (const WireError& e) {
     EXPECT_EQ(e.status(), Status::kBadConfig);
   }
+  try {
+    OpenRequest repeated;
+    repeated.codec = "adaptive";
+    repeated.adaptive_palette = "t0,t0";
+    client.Open(repeated);
+    FAIL() << "adaptive palette with a repeated member accepted";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.status(), Status::kBadConfig);
+  }
 
-  // After four refusals the same connection still serves.
+  // After five refusals the same connection still serves.
   const OpenReply opened = client.Open(OpenRequest{});
   client.Close(opened.session_id);
   server.Stop();

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/markov.h"
+#include "gate/circuits.h"
 #include "verify/minimize.h"
 #include "verify/oracles.h"
 #include "verify/properties.h"
@@ -112,7 +114,7 @@ TEST_P(GateOracleTest, BehaviouralCodecMatchesItsNetlist) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GateCodecs, GateOracleTest,
-                         ::testing::ValuesIn(GateVerifiableCodecs()),
+                         ::testing::ValuesIn(gate::CircuitCodecNames()),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -122,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(GateCodecs, GateOracleTest,
                          });
 
 TEST(MarkovOracleTest, ClosedFormsAgreeWithMonteCarlo) {
-  for (const std::string& codec : MarkovVerifiableCodecs()) {
+  for (const std::string& codec : MarkovModelCodes()) {
     const auto failure = CheckMarkovOracle(codec, 32, 4, 0.6, 0xFEED, 60000,
                                            DefaultCodecFactory());
     EXPECT_FALSE(failure.has_value())
@@ -190,7 +192,7 @@ TEST(RunnerTest, EnumeratesTheFullPropertyMatrix) {
   // families, one markov oracle per modelled code, parallel-identity.
   const std::size_t expected =
       UniversalPropertyNames().size() * AllCodecNames().size() * 6 +
-      GateVerifiableCodecs().size() * 6 + MarkovVerifiableCodecs().size() + 1;
+      gate::CircuitCodecNames().size() * 6 + MarkovModelCodes().size() + 1;
   EXPECT_EQ(names.size(), expected);
 }
 
