@@ -1,9 +1,10 @@
 // Guards the codec registry against the drift its table cannot prevent:
 // every codec header under src/core must be registered in codec_factory,
-// every factory name must be backed by a header, and every gate-circuit
-// and Markov-model key must name a registered codec. A codec added as a
-// header but never registered (or registered but deleted) fails here
-// instead of silently escaping the conformance suite in src/verify.
+// every factory name must be backed by a header and matched exactly, and
+// every gate-circuit and Markov-model key must name a registered codec.
+// A codec added as a header but never registered (or registered but
+// deleted) fails here instead of silently escaping the conformance
+// suite in src/verify.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,6 +153,14 @@ TEST(FactoryCoverageTest, NamesAreUniqueAndSubsetsConsistent) {
     EXPECT_TRUE(unique.contains(code))
         << "Markov model '" << code << "' names no factory codec";
   }
+}
+
+TEST(FactoryCoverageTest, UnknownNamesThrow) {
+  EXPECT_THROW(MakeCodec("no-such-code"), CodecConfigError);
+  EXPECT_THROW(MakeCodec(""), CodecConfigError);
+  // Factory names are exact: near-misses must not silently alias.
+  EXPECT_THROW(MakeCodec("T0"), CodecConfigError);
+  EXPECT_THROW(MakeCodec("gray_word"), CodecConfigError);
 }
 
 }  // namespace
