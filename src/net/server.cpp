@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -50,8 +52,11 @@ struct Server::Conn {
   Clock::time_point last_out_progress;
   /// Sessions opened or attached on this connection.
   std::set<std::uint64_t> sessions;
-  /// DRAIN_STATS with wait_drained: replies deferred until quiescent.
+  /// DRAIN_STATS with wait_drained: replies deferred until quiescent,
+  /// in request order.
   std::vector<std::uint64_t> pending_stats;
+
+  bool owes_output() const { return out_pos < out.size(); }
 };
 
 class Server::Loop {
@@ -60,6 +65,8 @@ class Server::Loop {
       : config_(config), service_(service) {}
 
   ~Loop() {
+    // After this no shard thread is inside PostDrained().
+    service_.SetDrainListener({});
     for (auto& [fd, conn] : conns_) CloseFd(conn.fd);
     CloseFd(listen_fd_);
     CloseFd(wake_fds_[0]);
@@ -75,14 +82,15 @@ class Server::Loop {
     }
     SetNonBlocking(wake_fds_[0]);
     SetNonBlocking(wake_fds_[1]);
+    service_.SetDrainListener(
+        [this](std::uint64_t id) { PostDrained(id); });
   }
 
   std::string endpoint() const { return bound_.ToString(); }
 
   void RequestStop() {
     stop_.store(true, std::memory_order_release);
-    const std::uint8_t byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+    Wake();
   }
 
   ServerStats stats() const {
@@ -104,8 +112,8 @@ class Server::Loop {
   void Run() {
     while (!stop_.load(std::memory_order_acquire)) {
       PollOnce();
-      ServePendingStats();
-      EnforceTimeouts();
+      ServeDrained();
+      if (Clock::now() >= next_deadline_) EnforceTimeouts();
     }
   }
 
@@ -119,17 +127,56 @@ class Server::Loop {
     int attached_fd = -1;        // -1 = detached (connection died)
   };
 
+  /// A shard thread reports an armed session that drained to empty.
+  void PostDrained(std::uint64_t id) {
+    {
+      std::lock_guard<std::mutex> lock(drained_mutex_);
+      drained_.push_back(id);
+    }
+    Wake();
+  }
+
+  void Wake() {
+    const std::uint8_t byte = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  }
+
+  /// When `conn` next times out: the write timeout while it owes output,
+  /// none while a deferred STATS is owed, else the read timeout.
+  Clock::time_point Deadline(const Conn& conn) const {
+    if (conn.owes_output()) {
+      return conn.last_out_progress + config_.write_timeout;
+    }
+    if (!conn.pending_stats.empty()) return Clock::time_point::max();
+    return conn.last_in + config_.read_timeout;
+  }
+
+  /// Sleep until a socket or the wake pipe is ready or the earliest
+  /// connection deadline passes (indefinitely when there is none).
   void PollOnce() {
     std::vector<pollfd> fds;
     fds.reserve(conns_.size() + 2);
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_fds_[0], POLLIN, 0});
+    next_deadline_ = Clock::time_point::max();
     for (auto& [fd, conn] : conns_) {
       short events = POLLIN;
-      if (conn.out_pos < conn.out.size()) events |= POLLOUT;
+      if (conn.owes_output()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
+      next_deadline_ = std::min(next_deadline_, Deadline(conn));
     }
-    const int ready = ::poll(fds.data(), fds.size(), 20);
+    int timeout_ms = -1;
+    if (next_deadline_ != Clock::time_point::max()) {
+      // Round up, so the loop wakes at or after the deadline, not
+      // spinning just before it; a timeout flag may exceed int's range.
+      const std::int64_t left =
+          std::chrono::ceil<std::chrono::milliseconds>(next_deadline_ -
+                                                       Clock::now())
+              .count();
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          left, 0, std::numeric_limits<int>::max()));
+    }
+    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready <= 0) return;
 
     if ((fds[0].revents & POLLIN) != 0) AcceptPending();
@@ -368,10 +415,13 @@ class Server::Loop {
     }
     // Takeover: a reconnecting client may attach before the server has
     // noticed its old connection die; the newest attach wins and the
-    // stale connection loses the session.
+    // stale connection loses the session, with its deferred STATS.
     if (slot.attached_fd >= 0 && slot.attached_fd != conn.fd) {
       auto old = conns_.find(slot.attached_fd);
-      if (old != conns_.end()) old->second.sessions.erase(attach.session_id);
+      if (old != conns_.end()) {
+        old->second.sessions.erase(attach.session_id);
+        std::erase(old->second.pending_stats, attach.session_id);
+      }
     }
     slot.attached_fd = conn.fd;
     conn.sessions.insert(attach.session_id);
@@ -520,14 +570,21 @@ class Server::Loop {
                                    snapshot->active_codec);
   }
 
+  /// DRAIN_STATS with wait_drained arms the session's drain signal; the
+  /// shard thread that empties its queue posts the id (PostDrained) and
+  /// ServeDrained() answers. A session already quiescent is answered at
+  /// once — after any earlier deferred replies for it, which that
+  /// quiescence satisfies too, so replies keep request order.
   void HandleDrainStats(Conn& conn, const Frame& frame) {
     const DrainStatsRequest request = DecodeDrainStats(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
-    if (request.wait_drained &&
-        service_.SessionQueued(request.session_id) != 0) {
-      conn.pending_stats.push_back(request.session_id);
-      return;
+    if (request.wait_drained) {
+      if (!service_.NotifyWhenDrained(request.session_id)) {
+        conn.pending_stats.push_back(request.session_id);
+        return;
+      }
+      ServeDeferredStats(conn, request.session_id, *slot);
     }
     SendStats(conn, request.session_id, *slot);
   }
@@ -550,22 +607,32 @@ class Server::Loop {
                           conn.caps));
   }
 
-  /// Deferred DRAIN_STATS replies: answered as soon as the session's
-  /// queue is empty and its last popped batch has been processed.
-  void ServePendingStats() {
-    for (auto& [fd, conn] : conns_) {
-      if (conn.pending_stats.empty()) continue;
-      std::vector<std::uint64_t> still_waiting;
-      for (std::uint64_t id : conn.pending_stats) {
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) continue;  // closed underneath us
-        if (service_.SessionQueued(id) != 0) {
-          still_waiting.push_back(id);
-          continue;
-        }
-        SendStats(conn, id, it->second);
-      }
-      conn.pending_stats = std::move(still_waiting);
+  /// Answer every deferred DRAIN_STATS `conn` holds for `id`.
+  void ServeDeferredStats(Conn& conn, std::uint64_t id,
+                          const SessionSlot& slot) {
+    const std::size_t owed = std::erase(conn.pending_stats, id);
+    for (std::size_t i = 0; i < owed; ++i) SendStats(conn, id, slot);
+  }
+
+  /// Deferred DRAIN_STATS replies for the sessions shard threads posted
+  /// as drained: id → attached connection → its deferred replies. A
+  /// session that took new work since it was posted is re-armed instead,
+  /// so the reply still waits for quiescence.
+  void ServeDrained() {
+    std::vector<std::uint64_t> drained;
+    {
+      std::lock_guard<std::mutex> lock(drained_mutex_);
+      drained.swap(drained_);
+    }
+    for (std::uint64_t id : drained) {
+      auto slot = sessions_.find(id);
+      if (slot == sessions_.end()) continue;
+      auto conn = conns_.find(slot->second.attached_fd);
+      if (conn == conns_.end()) continue;  // detached: nobody to answer
+      const std::vector<std::uint64_t>& owed = conn->second.pending_stats;
+      if (std::find(owed.begin(), owed.end(), id) == owed.end()) continue;
+      if (!service_.NotifyWhenDrained(id)) continue;
+      ServeDeferredStats(conn->second, id, slot->second);
     }
   }
 
@@ -573,20 +640,12 @@ class Server::Loop {
     const Clock::time_point now = Clock::now();
     std::vector<int> drops;
     for (auto& [fd, conn] : conns_) {
-      const bool owes_reply =
-          !conn.pending_stats.empty() || conn.out_pos < conn.out.size();
-      if (!owes_reply && now - conn.last_in > config_.read_timeout) {
-        drops.push_back(fd);
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (conn.out_pos < conn.out.size() &&
-          now - conn.last_out_progress > config_.write_timeout) {
-        drops.push_back(fd);
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (now > Deadline(conn)) drops.push_back(fd);
     }
-    for (int fd : drops) DropConn(fd);
+    for (int fd : drops) {
+      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      DropConn(fd);
+    }
   }
 
   void SendError(Conn& conn, Status status, const std::string& message) {
@@ -645,9 +704,16 @@ class Server::Loop {
   int wake_fds_[2] = {-1, -1};
   std::atomic<bool> stop_{false};
 
+  // Armed sessions that drained to empty, posted by shard threads.
+  std::mutex drained_mutex_;
+  std::vector<std::uint64_t> drained_;
+
   // Loop-thread state.
   std::map<int, Conn> conns_;
   std::map<std::uint64_t, SessionSlot> sessions_;
+  /// Earliest connection deadline, computed before each poll (which
+  /// sleeps until it); EnforceTimeouts runs once it passes.
+  Clock::time_point next_deadline_ = Clock::time_point::max();
 
   // Counters (read from other threads via stats()).
   std::atomic<std::uint64_t> connections_accepted_{0};
@@ -680,9 +746,11 @@ void Server::Stop() {
   if (started_) {
     loop_->RequestStop();
     if (thread_.joinable()) thread_.join();
-    loop_.reset();  // closes the listener and every connection
   }
+  // Stop the shard drivers while the loop still exists: a drain may post
+  // to it until then.
   service_->Stop();
+  loop_.reset();  // closes the listener and every connection
   stopped_ = true;
 }
 

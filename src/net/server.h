@@ -8,6 +8,13 @@
 //    locks. The CPU-heavy work (draining sessions, encoding, transport
 //    recovery) stays on the service's own shard thread pool; the loop
 //    only enqueues via Session::Submit and snapshots via Report().
+//  - The loop wakes on work, never on a tick: poll() sleeps until a
+//    socket or the wake pipe is ready or the earliest connection
+//    deadline passes. A DRAIN_STATS that must wait for quiescence arms
+//    the session's drain signal (EncodingService::NotifyWhenDrained);
+//    the shard thread that drains the session to empty posts its id on
+//    a mutex-guarded ready list and writes the wake pipe, and the loop
+//    answers the deferred replies of the posted ids only.
 //  - Per-connection read/write timeouts: a connection that neither
 //    delivers bytes nor owes us a deferred reply for `read_timeout` is
 //    dropped, as is one whose peer stops reading our replies for
@@ -96,8 +103,9 @@ class Server {
   /// endpoint cannot be bound.
   void Start();
 
-  /// Close the listener and every connection, then stop the service.
-  /// Idempotent.
+  /// Stop the event loop, then the service's shard drivers (which may
+  /// post to the loop until they stop), then close the listener and
+  /// every connection. Idempotent.
   void Stop();
 
   /// Dialable endpoint (with the ephemeral port resolved). Valid after

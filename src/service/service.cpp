@@ -10,20 +10,22 @@ EncodingService::EncodingService(ServiceConfig config)
   if (config_.shards == 0) {
     throw std::invalid_argument("EncodingService: shards must be nonzero");
   }
+  ShardHooks hooks;
+  hooks.drained = [this](Session& session) { SessionDrained(session); };
+  if (config_.start_drivers) {
+    hooks.schedule = [this](unsigned index) { ScheduleDriver(index); };
+  }
   shards_.reserve(config_.shards);
   for (unsigned i = 0; i < config_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, config_.idle_evict_steps, &metrics_));
+    shards_.push_back(std::make_unique<Shard>(i, config_.idle_evict_steps,
+                                              &metrics_, hooks));
   }
   if (config_.start_drivers) {
     const unsigned workers = config_.parallelism != 0
                                  ? config_.parallelism
                                  : ThreadPool::DefaultParallelism();
     pool_ = std::make_unique<ThreadPool>(workers);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      pool_->Submit([this, i]() { DriveShard(i); });
-    }
-    if (config_.enable_watchdog) {
+    if (config_.enable_watchdog || config_.idle_evict_steps != 0) {
       watchdog_ = std::thread([this]() { WatchdogLoop(); });
     }
   }
@@ -114,6 +116,32 @@ std::size_t EncodingService::SessionQueued(std::uint64_t session_id) const {
   return FindSession(sessions_, session_id, sessions_mutex_)->queued();
 }
 
+bool EncodingService::NotifyWhenDrained(std::uint64_t session_id) {
+  return FindSession(sessions_, session_id, sessions_mutex_)
+      ->ArmDrainSignal();
+}
+
+void EncodingService::SetDrainListener(
+    std::function<void(std::uint64_t)> listener) {
+  std::lock_guard<std::mutex> lock(listener_mutex_);
+  drain_listener_ = std::move(listener);
+}
+
+void EncodingService::SessionDrained(Session& session) {
+  {
+    // Taking the waiters' mutex orders this notify after a waiter that
+    // just found work left, so Drain() cannot miss it.
+    std::lock_guard<std::mutex> lock(drained_mutex_);
+  }
+  drained_cv_.notify_all();
+  if (session.TakeDrainSignal()) {
+    // Called under the lock, so SetDrainListener({}) returning means no
+    // call is in flight: the listener's owner may then be destroyed.
+    std::lock_guard<std::mutex> lock(listener_mutex_);
+    if (drain_listener_) drain_listener_(session.id());
+  }
+}
+
 std::vector<SessionReport> EncodingService::ReportAll() const {
   std::vector<std::shared_ptr<Session>> sessions;
   {
@@ -130,31 +158,23 @@ std::vector<SessionReport> EncodingService::ReportAll() const {
 }
 
 std::size_t EncodingService::total_queued() const {
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session);
-  }
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
   std::size_t total = 0;
-  for (const std::shared_ptr<Session>& session : sessions) {
-    total += session->queued();
-  }
+  for (const auto& [id, session] : sessions_) total += session->queued();
   return total;
 }
 
 bool EncodingService::Drain(std::chrono::milliseconds deadline) {
   const auto until = std::chrono::steady_clock::now() + deadline;
+  if (config_.start_drivers) {
+    std::unique_lock<std::mutex> lock(drained_mutex_);
+    return drained_cv_.wait_until(lock, until,
+                                  [this]() { return total_queued() == 0; });
+  }
   for (;;) {
     if (total_queued() == 0) return true;
-    if (std::chrono::steady_clock::now() >= until) {
-      return total_queued() == 0;
-    }
-    if (!config_.start_drivers) {
-      StepAll();
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (std::chrono::steady_clock::now() >= until) return false;
+    StepAll();
   }
 }
 
@@ -181,25 +201,31 @@ void EncodingService::StepAll() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (!shard->dead()) shard->Step();
   }
+  for (const std::unique_ptr<Shard>& shard : shards_) shard->SweepIdle();
+}
+
+void EncodingService::ScheduleDriver(unsigned index) {
+  if (stopping_.load(std::memory_order_acquire)) return;
+  try {
+    pool_->Submit([this, index]() { DriveShard(index); });
+  } catch (const std::logic_error&) {
+    // Shutdown began between the check above and the submit; done.
+  }
 }
 
 void EncodingService::DriveShard(std::size_t index) {
   Shard& shard = *shards_[index];
   if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
-  bool worked = false;
   try {
-    worked = shard.Step();
+    shard.Step();
   } catch (...) {
     // A shard pass must never take the pool down; count and carry on.
     Bump(metrics_.shard_errors);
   }
   if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
-  if (!worked) std::this_thread::sleep_for(config_.idle_backoff);
-  try {
-    pool_->Submit([this, index]() { DriveShard(index); });
-  } catch (const std::logic_error&) {
-    // Shutdown began between the check above and the re-submit; done.
-  }
+  // Step again while sessions are ready; otherwise the driver is done
+  // until a submission schedules it again.
+  if (shard.FinishPass()) ScheduleDriver(static_cast<unsigned>(index));
 }
 
 void EncodingService::WatchdogLoop() {
@@ -211,6 +237,8 @@ void EncodingService::WatchdogLoop() {
       return stopping_.load(std::memory_order_acquire);
     });
     if (stopping_.load(std::memory_order_acquire)) return;
+    for (const std::unique_ptr<Shard>& shard : shards_) shard->SweepIdle();
+    if (!config_.enable_watchdog) continue;
     Bump(metrics_.watchdog_checks);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[i];
@@ -221,7 +249,7 @@ void EncodingService::WatchdogLoop() {
         strikes[i] = 0;
         continue;
       }
-      if (shard.pending() == 0) {
+      if (!shard.has_work()) {
         strikes[i] = 0;  // frozen but idle: nothing to miss
         continue;
       }
@@ -251,6 +279,9 @@ void EncodingService::FailOver(std::size_t index) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (!shard->dead()) alive.push_back(shard.get());
   }
+  // Add() re-queues each migrated session that has work on its new
+  // shard and schedules that shard's driver, so the survivors drain them
+  // without a further submission.
   std::size_t target = 0;
   for (std::shared_ptr<Session>& orphan : orphans) {
     if (alive.empty()) {

@@ -6,12 +6,23 @@
 // Composition (docs/ARCHITECTURE.md "Service layer"):
 //
 //   clients ──Submit()──► Session queues (bounded, backpressure)
-//                               │ drained by
+//                               │ runnable sessions join their shard's
+//                         run queue, drained by
 //                         Shard::Step()  × config.shards
-//                               │ driven by self-rescheduling tasks on
+//                               │ driven by per-shard tasks on
 //                         ThreadPool(config.parallelism)
 //                               │ watched by
-//                         watchdog thread (heartbeats → failover)
+//                         watchdog thread (heartbeats → failover,
+//                                          idle-eviction sweeps)
+//
+// Everything wakes on work, never on a clock: the submission that makes
+// a session runnable schedules its shard's driver, which steps while its
+// run queue holds sessions and returns when it is empty (a driver never
+// blocks a pool worker waiting for work, so shards > parallelism still
+// drains every shard). A session that drains to empty notifies Drain()
+// waiters and, when armed with NotifyWhenDrained(), the drain listener.
+// Only the watchdog keeps a clock: once per watchdog_interval it checks
+// heartbeats and sweeps for idle sessions to evict.
 //
 // Robustness contracts:
 //  - Submission is never unbounded: a batch that would overflow a
@@ -32,7 +43,9 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,18 +66,20 @@ struct ServiceConfig {
   /// tests use.
   bool start_drivers = true;
 
-  std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
+  /// Evict a session after this many consecutive idle sweeps (one per
+  /// StepAll() in manual mode, one per watchdog_interval when the
+  /// drivers run); 0 = never idle-evict.
+  std::uint64_t idle_evict_steps = 0;
   /// Defaults for OpenSession() without an explicit config.
   SessionConfig session;
 
+  /// Heartbeat checks and failover. The watchdog thread also runs, for
+  /// the idle sweeps alone, when this is off but idle_evict_steps is set.
   bool enable_watchdog = true;
   std::chrono::milliseconds watchdog_interval{20};
   /// Consecutive frozen-heartbeat checks (with pending work) before a
   /// shard is declared stuck and failed over.
   unsigned watchdog_stuck_strikes = 5;
-  /// Driver nap after a pass that found no work, so an idle service
-  /// does not spin a core.
-  std::chrono::milliseconds idle_backoff{1};
 };
 
 class EncodingService {
@@ -118,15 +133,26 @@ class EncodingService {
   bool HasSession(std::uint64_t session_id) const;
 
   /// Accesses queued and not yet processed for one session; zero means
-  /// the session is quiescent and Report() is complete (the wait_drained
-  /// deferral in src/net relies on this). Unknown ids throw
-  /// std::out_of_range.
+  /// the session is quiescent and Report() is complete. Unknown ids
+  /// throw std::out_of_range.
   std::size_t SessionQueued(std::uint64_t session_id) const;
+
+  /// Arm a one-shot signal for when `session_id` drains to empty (the
+  /// wait_drained deferral in src/net). Returns true when the session is
+  /// quiescent already: nothing will be signalled, answer now. Otherwise
+  /// the draining thread calls the drain listener with the id once the
+  /// queue is empty. Unknown ids throw std::out_of_range.
+  bool NotifyWhenDrained(std::uint64_t session_id);
+
+  /// Install (or, with an empty function, remove) the drain listener.
+  /// It runs on a shard thread and must not block; once removal returns
+  /// no call is in flight.
+  void SetDrainListener(std::function<void(std::uint64_t)> listener);
 
   /// Wait until every queue is empty and all popped work has been
   /// processed, or the deadline passes; returns whether the service is
-  /// quiescent. In manual mode (start_drivers = false) this also steps
-  /// the shards itself.
+  /// quiescent. With drivers it sleeps until a session drains to empty;
+  /// in manual mode (start_drivers = false) it steps the shards itself.
   bool Drain(std::chrono::milliseconds deadline);
 
   /// Stop drivers and watchdog. Bounded by ThreadPool::Shutdown: a
@@ -135,7 +161,8 @@ class EncodingService {
   ShutdownResult Stop(
       std::chrono::milliseconds deadline = std::chrono::milliseconds(5000));
 
-  /// Manual mode: one Step() of every live shard on the caller thread.
+  /// Manual mode: one Step() of every live shard on the caller thread,
+  /// then one idle sweep of each.
   void StepAll();
 
   /// Accesses queued and not yet processed, summed over all sessions.
@@ -152,7 +179,9 @@ class EncodingService {
   Shard& shard(unsigned index) { return *shards_[index]; }
 
  private:
+  void ScheduleDriver(unsigned index);
   void DriveShard(std::size_t index);
+  void SessionDrained(Session& session);
   void WatchdogLoop();
   void FailOver(std::size_t index);
 
@@ -173,6 +202,13 @@ class EncodingService {
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   std::thread watchdog_;
+
+  // Drain(): notified whenever a session drains to empty.
+  std::mutex drained_mutex_;
+  std::condition_variable drained_cv_;
+
+  std::mutex listener_mutex_;
+  std::function<void(std::uint64_t)> drain_listener_;
 };
 
 }  // namespace abenc::service

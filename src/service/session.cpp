@@ -1,5 +1,7 @@
 #include "service/session.h"
 
+#include "service/shard.h"
+
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
@@ -136,27 +138,49 @@ Admission Session::SubmitColumns(ColumnBatch&& batch) {
   }
   const std::size_t size = batch.size();
   if (size == 0) return Admission::kAccepted;
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (input_closed_) return Admission::kClosed;
-  if (queue_accesses_ + size > config_.queue_capacity) {
-    ++rejected_batches_;
-    Bump(metrics_->rejected_batches);
-    return Admission::kRejected;
+  Admission admission = Admission::kAccepted;
+  Shard* wake = nullptr;  // set when this batch makes the session runnable
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (input_closed_) return Admission::kClosed;
+    if (queue_accesses_ + size > config_.queue_capacity) {
+      ++rejected_batches_;
+      Bump(metrics_->rejected_batches);
+      return Admission::kRejected;
+    }
+    queue_accesses_ += size;
+    queue_.push_back(std::move(batch));
+    queued_.fetch_add(size);
+    peak_queue_depth_ = std::max(peak_queue_depth_, queue_accesses_);
+    Bump(metrics_->submitted_accesses, size);
+    if (metrics_->queue_high_watermark) {
+      metrics_->queue_high_watermark->UpdateMax(
+          static_cast<double>(queue_accesses_));
+    }
+    if (queue_accesses_ > config_.slowdown_watermark) {
+      Bump(metrics_->slowdown_batches);
+      admission = Admission::kSlowDown;
+    }
+    if (!runnable_ && shard_ != nullptr) {
+      runnable_ = true;
+      wake = shard_;
+    }
   }
-  queue_accesses_ += size;
-  queue_.push_back(std::move(batch));
-  queued_.fetch_add(size, std::memory_order_release);
-  peak_queue_depth_ = std::max(peak_queue_depth_, queue_accesses_);
-  Bump(metrics_->submitted_accesses, size);
-  if (metrics_->queue_high_watermark) {
-    metrics_->queue_high_watermark->UpdateMax(
-        static_cast<double>(queue_accesses_));
+  if (wake != nullptr) wake->Enqueue(shared_from_this());
+  return admission;
+}
+
+void Session::MoveTo(Shard* shard) {
+  bool requeue = false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    shard_ = shard;
+    // A failed-over session may sit on the dead shard's run queue (or be
+    // about to): it keeps its runnable flag and joins the new queue.
+    requeue = runnable_ || !queue_.empty();
+    runnable_ = requeue;
   }
-  if (queue_accesses_ > config_.slowdown_watermark) {
-    Bump(metrics_->slowdown_batches);
-    return Admission::kSlowDown;
-  }
-  return Admission::kAccepted;
+  if (requeue) shard->Enqueue(shared_from_this());
 }
 
 void Session::CloseInput() {
@@ -173,10 +197,6 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
   std::size_t n = 0;
   {
     std::lock_guard<std::mutex> queue(queue_mutex_);
-    if (queue_.empty()) {
-      idle_steps_.fetch_add(1, std::memory_order_relaxed);
-      return 0;
-    }
     // Move whole batches out until the access budget is met; only the
     // last can end up partially processed. The vectors move — the
     // columns decoded off the wire are never copied again.
@@ -193,7 +213,32 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
     // later step takes it (same depths the flat row queue exposed).
     queue_accesses_ -= n;
   }
-  idle_steps_.store(0, std::memory_order_relaxed);
+  if (n != 0) Process(n);
+  bool more = false;
+  Shard* shard = nullptr;
+  {
+    std::lock_guard<std::mutex> queue(queue_mutex_);
+    if (!drained_.empty() && drained_.back().remaining() > 0) {
+      queue_.push_front(std::move(drained_.back()));
+    }
+    queued_.fetch_sub(n);
+    more = !queue_.empty();
+    runnable_ = more;
+    shard = shard_;
+  }
+  drained_.clear();
+  if (shard != nullptr) {
+    if (more) {
+      shard->Enqueue(shared_from_this());
+    } else {
+      shard->Drained(*this);
+    }
+  }
+  return n;
+}
+
+void Session::Process(std::size_t n) {
+  idle_sweeps_.store(0, std::memory_order_relaxed);
   if (state_ == SessionState::kEvicted) {
     // A switch pinned exactly to the eviction index applies as a name
     // change here, so Readmit builds the new codec once instead of the
@@ -216,13 +261,6 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
     left -= take;
   }
   Bump(metrics_->processed_accesses, n);
-  if (!drained_.empty() && drained_.back().remaining() > 0) {
-    std::lock_guard<std::mutex> queue(queue_mutex_);
-    queue_.push_front(std::move(drained_.back()));
-  }
-  drained_.clear();
-  queued_.fetch_sub(n, std::memory_order_release);
-  return n;
 }
 
 void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,

@@ -49,13 +49,26 @@
 // EvaluateWithSchedule() of the same stream no matter what was injected
 // on the channel.
 //
+// Scheduling: a session with an owning shard is *runnable* from the
+// submission that finds it idle until the DrainStep that empties its
+// queue. The submission that makes it runnable puts it on the shard's run
+// queue; a DrainStep that leaves work re-queues it; the one that empties
+// it tells the shard (Shard::Drained), which is how Drain() waiters and an
+// armed drain signal (ArmDrainSignal) hear of it. Exactly one party holds
+// the run-queue entry at a time, so a session is never lost nor queued
+// twice outside the failover window. A session built without a shard
+// (MoveTo never called) is driven by calling DrainStep directly.
+//
 // Locking: `queue_mutex_` guards the client side (queue, input_closed_,
-// admission bookkeeping); `drain_mutex_` guards the processing side
-// (FSMs, counters, eviction state). The owning shard serializes drains,
-// but the mutex also makes the brief double-ownership window during
-// watchdog failover safe: two drainers interleave whole batches, each
-// popped and processed atomically under drain_mutex_, so stream order is
-// preserved. Lock order is always drain_mutex_ before queue_mutex_.
+// admission bookkeeping, the owning shard and the runnable flag);
+// `drain_mutex_` guards the processing side (FSMs, counters, eviction
+// state). The owning shard serializes drains, but the mutex also makes
+// the brief double-ownership window during watchdog failover safe: two
+// drainers interleave whole batches, each popped and processed
+// atomically under drain_mutex_, so stream order is preserved. Lock order
+// is always drain_mutex_ before queue_mutex_; no session lock is held
+// while a shard's lock is taken except drain_mutex_ (DrainStep re-queues
+// under it).
 #pragma once
 
 #include <atomic>
@@ -77,6 +90,8 @@
 #include "obs/metrics.h"
 
 namespace abenc::service {
+
+class Shard;
 
 /// Client-visible admission verdict for one submitted batch.
 enum class Admission : unsigned char {
@@ -261,7 +276,7 @@ struct SessionReport {
   std::size_t peak_queue_depth = 0;
 };
 
-class Session {
+class Session : public std::enable_shared_from_this<Session> {
  public:
   /// Builds the codec FSM and channel eagerly, so an invalid codec name
   /// or option set throws here (CodecConfigError / ChannelConfigError),
@@ -307,14 +322,33 @@ class Session {
 
   /// Pop and process up to `max_accesses` queued accesses; returns how
   /// many were processed. Re-admits an evicted session lazily when new
-  /// work is queued.
+  /// work is queued. With an owning shard it then re-queues the session
+  /// if work remains, or reports the drain to empty.
   std::size_t DrainStep(std::size_t max_accesses);
 
-  /// Consecutive DrainStep() calls that found no work (idle-eviction
-  /// input; maintained by DrainStep, reset when work arrives).
-  std::uint64_t idle_steps() const {
-    return idle_steps_.load(std::memory_order_relaxed);
+  /// Hand the session to `shard` (Shard::Add); it joins that shard's run
+  /// queue if it is runnable or has work.
+  void MoveTo(Shard* shard);
+
+  /// Count one idle sweep and return the sweeps since the last DrainStep
+  /// that processed work (the idle-eviction input).
+  std::uint64_t CountIdleSweep() {
+    return idle_sweeps_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
+
+  /// Ask to hear when the queue drains to empty. Returns true when the
+  /// session is quiescent already — the caller consumed the signal and
+  /// nothing will be reported. Otherwise the DrainStep that empties the
+  /// queue consumes it (TakeDrainSignal) and reports it. Both sides take
+  /// the flag with one exchange, and this side re-checks after arming,
+  /// so exactly one of them consumes each arming.
+  bool ArmDrainSignal() {
+    drain_signal_.store(true);
+    return queued_.load() == 0 && TakeDrainSignal();
+  }
+
+  /// Consume an armed drain signal; true when one was armed.
+  bool TakeDrainSignal() { return drain_signal_.exchange(false); }
 
   /// Accesses queued but not yet processed. Reaches zero only after the
   /// last popped batch finished processing, so a zero sum across
@@ -354,6 +388,9 @@ class Session {
   // accounting segment, plus a fresh transport (drain_mutex_ held).
   void BuildFsms();
   void Readmit();  // fresh FSMs after eviction (drain_mutex_ held)
+  // Process the `n` accesses DrainStep popped into drained_, re-admitting
+  // an evicted session first (drain_mutex_ held).
+  void Process(std::size_t n);
   // Process `count` accesses, splitting runs at a pending codec switch
   // (drain_mutex_ held).
   void ProcessColumns(const Word* addresses, const std::uint8_t* sel,
@@ -408,10 +445,15 @@ class Session {
   bool ever_degraded_ = false;  // sticky, for the report
   std::uint64_t readmissions_ = 0;
 
+  // Scheduling (queue_mutex_).
+  Shard* shard_ = nullptr;  // owning shard; null for a standalone session
+  bool runnable_ = false;   // on shard_'s run queue or being drained
+
   // Cross-thread progress signals.
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> idle_steps_{0};
+  std::atomic<std::uint64_t> idle_sweeps_{0};
+  std::atomic<bool> drain_signal_{false};
 };
 
 }  // namespace abenc::service

@@ -5,15 +5,39 @@
 namespace abenc::service {
 
 void Shard::Add(std::shared_ptr<Session> session) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sessions_.push_back(std::move(session));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sessions_.push_back(session);
+  }
+  session->MoveTo(this);  // may Enqueue(), so outside the lock
 }
 
 std::vector<std::shared_ptr<Session>> Shard::TakeAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::shared_ptr<Session>> taken;
   taken.swap(sessions_);
+  run_queue_.clear();
   return taken;
+}
+
+void Shard::Enqueue(std::shared_ptr<Session> session) {
+  bool schedule = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_queue_.push_back(std::move(session));
+    if (!scheduled_ && hooks_.schedule && !dead()) {
+      scheduled_ = true;
+      schedule = true;
+    }
+  }
+  if (schedule) hooks_.schedule(index_);
+}
+
+bool Shard::FinishPass() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!run_queue_.empty()) return true;
+  scheduled_ = false;
+  return false;
 }
 
 void Shard::SetStallHook(std::function<void()> hook) {
@@ -24,47 +48,54 @@ void Shard::SetStallHook(std::function<void()> hook) {
 bool Shard::Step() {
   if (dead()) return false;
   std::function<void()> hook;
-  std::vector<std::shared_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     hook = stall_hook_;
-    sessions = sessions_;
+    stepping_ = true;
   }
-  if (hook) hook();       // injected fault: a wedged shard hangs here
+  if (hook) hook();          // injected fault: a wedged shard hangs here
   if (dead()) return false;  // failed over while we were stuck
 
-  bool worked = false;
-  for (const std::shared_ptr<Session>& session : sessions) {
-    if (dead()) break;
-    const std::size_t processed = session->DrainStep(kDrainBatch);
-    worked |= processed != 0;
-    // Eviction policy: bounded state for quiet or over-budget sessions.
-    // Evict() itself re-checks eligibility (active, queue empty) under
-    // the session's locks, so these are cheap pre-filters.
-    if (session->OverBudget()) {
-      session->Evict();
-    } else if (processed == 0 && idle_evict_steps_ != 0 &&
-               session->idle_steps() >= idle_evict_steps_ &&
-               session->state() == SessionState::kActive) {
-      session->Evict();
-    }
+  // This pass owns the sessions queued so far; each one that keeps work
+  // re-queues itself for the next pass, which makes the pass round-robin.
+  std::vector<std::shared_ptr<Session>> ready;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ready.swap(run_queue_);
+  }
+  for (const std::shared_ptr<Session>& session : ready) {
+    if (dead()) break;  // failover re-queues the rest on the survivors
+    session->DrainStep(kDrainBatch);
+    // Over-budget eviction right after the drain; Evict() itself
+    // re-checks eligibility (active, queue empty) under the session's
+    // locks, so this is a cheap pre-filter.
+    if (session->OverBudget()) session->Evict();
   }
   Bump(metrics_->shard_steps);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stepping_ = false;
+  }
   heartbeat_.fetch_add(1, std::memory_order_release);
-  return worked;
+  return !ready.empty();
 }
 
-std::size_t Shard::pending() const {
+void Shard::SweepIdle() {
+  if (idle_evict_steps_ == 0 || dead()) return;
   std::vector<std::shared_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     sessions = sessions_;
   }
-  std::size_t total = 0;
   for (const std::shared_ptr<Session>& session : sessions) {
-    total += session->queued();
+    if (session->queued() != 0) continue;
+    if (session->CountIdleSweep() >= idle_evict_steps_) session->Evict();
   }
-  return total;
+}
+
+bool Shard::has_work() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stepping_ || !run_queue_.empty();
 }
 
 }  // namespace abenc::service

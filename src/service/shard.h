@@ -1,26 +1,35 @@
 // A shard of the encoding service: the unit of parallelism and of
-// failure containment. Each shard owns a set of sessions and drains them
-// round-robin, one bounded batch per session per Step(); a driver task
-// on the service's thread pool calls Step() in a loop.
+// failure containment. Each shard owns a set of sessions and a run queue
+// of the ones with queued work. Step() drains every session on the run
+// queue once, one bounded batch each, round-robin; a session that still
+// has work re-queues itself at the end of its DrainStep. The submission
+// that makes a session runnable puts it on its shard's run queue, and
+// the first one to find the shard unscheduled schedules the shard's
+// driver through ShardHooks::schedule. The driver steps while the run
+// queue is non-empty and returns when it is empty (FinishPass), so an
+// idle shard costs nothing.
 //
 // Robustness hooks:
 //  - a heartbeat counter advances at the end of every Step(), so the
-//    service watchdog can tell a wedged shard (heartbeat frozen while
-//    sessions have queued work) from an idle one;
+//    service watchdog can tell a wedged shard (heartbeat frozen while it
+//    has work) from an idle one;
 //  - MarkDead() fences a failed-over shard: a zombie Step() that resumes
 //    after failover observes the flag and exits without touching the
 //    sessions, which by then belong to another shard (session drains are
 //    additionally serialized by each session's own drain mutex, so even
 //    the fence race is safe);
-//  - TakeAll() migrates the sessions out for failover;
+//  - TakeAll() migrates the sessions out for failover; Add() on the
+//    survivor re-queues each one that has work;
 //  - a stall hook injects the "stuck shard" fault itself — the soak
 //    harness and tests wedge a shard on purpose to prove the watchdog
 //    path end to end.
 //
-// Step() also applies the eviction policy after draining each session:
-// idle sessions (no work for `idle_evict_steps` consecutive steps) and
-// over-budget sessions are evicted — bounded state, deterministic
-// teardown (see session.h).
+// Eviction policy: Step() evicts an over-budget session right after the
+// drain that empties it; SweepIdle() evicts sessions that stayed without
+// work for `idle_evict_steps` consecutive sweeps (the service sweeps
+// once per StepAll() in manual mode and once per watchdog interval when
+// its drivers run) — bounded state, deterministic teardown (see
+// session.h).
 #pragma once
 
 #include <atomic>
@@ -34,6 +43,14 @@
 
 namespace abenc::service {
 
+/// How a shard reaches its service.
+struct ShardHooks {
+  /// Run the shard's driver; empty in manual mode (StepAll drives).
+  std::function<void(unsigned shard)> schedule;
+  /// A session's queue drained to empty (called on the draining thread).
+  std::function<void(Session&)> drained;
+};
+
 class Shard {
  public:
   /// Accesses drained per session per Step().
@@ -41,32 +58,54 @@ class Shard {
 
   /// `idle_evict_steps` 0 = never idle-evict.
   Shard(unsigned index, std::uint64_t idle_evict_steps,
-        const ServiceMetrics* metrics)
-      : index_(index), idle_evict_steps_(idle_evict_steps), metrics_(metrics) {}
+        const ServiceMetrics* metrics, ShardHooks hooks)
+      : index_(index),
+        idle_evict_steps_(idle_evict_steps),
+        metrics_(metrics),
+        hooks_(std::move(hooks)) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
   unsigned index() const { return index_; }
 
+  /// Take ownership of a session; it joins the run queue if it has work.
   void Add(std::shared_ptr<Session> session);
 
-  /// Remove and return every session (watchdog failover).
+  /// Remove and return every session and empty the run queue (watchdog
+  /// failover).
   std::vector<std::shared_ptr<Session>> TakeAll();
 
-  /// One drain pass over all owned sessions; returns whether any access
-  /// was processed. No-op once dead.
+  /// Put a runnable session on the run queue and schedule the driver if
+  /// it is not already scheduled (Session calls this).
+  void Enqueue(std::shared_ptr<Session> session);
+
+  /// Session calls this when its queue drained to empty.
+  void Drained(Session& session) {
+    if (hooks_.drained) hooks_.drained(session);
+  }
+
+  /// One drain pass over the run queue; returns whether any session was
+  /// drained. No-op once dead.
   bool Step();
+
+  /// The driver's end of pass: true while the run queue holds sessions
+  /// (step again); false clears the scheduled flag, under the same lock
+  /// Enqueue() takes, so a submission cannot slip between the two.
+  bool FinishPass();
+
+  /// Count one idle sweep for every owned session without queued work
+  /// and evict those idle for `idle_evict_steps` sweeps.
+  void SweepIdle();
 
   /// Advances at the end of every completed Step().
   std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_acquire);
   }
 
-  /// Total accesses queued across owned sessions (approximate — sampled
-  /// without stopping the world; the watchdog only needs "is there
-  /// work").
-  std::size_t pending() const;
+  /// Whether the shard has work: sessions on its run queue or a Step()
+  /// in progress (the watchdog only needs "is there work").
+  bool has_work() const;
 
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   void MarkDead() { dead_.store(true, std::memory_order_release); }
@@ -79,9 +118,14 @@ class Shard {
   const unsigned index_;
   const std::uint64_t idle_evict_steps_;
   const ServiceMetrics* metrics_;
+  const ShardHooks hooks_;
 
-  mutable std::mutex mutex_;  // guards sessions_ and stall_hook_
+  // Guards sessions_, run_queue_, scheduled_, stepping_ and stall_hook_.
+  mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Session>> sessions_;
+  std::vector<std::shared_ptr<Session>> run_queue_;
+  bool scheduled_ = false;  // a driver task is queued or running
+  bool stepping_ = false;   // a Step() is between its hook and heartbeat
   std::function<void()> stall_hook_;
 
   std::atomic<std::uint64_t> heartbeat_{0};

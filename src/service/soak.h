@@ -211,8 +211,9 @@ struct SoakOptions : SoakCommonOptions {
   /// Fraction of sessions submitting through the zero-copy columnar
   /// path (SubmitColumns) instead of the row-wise Submit span.
   double columnar_fraction = 0.0;
-  /// Shard policy: evict a session after this many idle drain passes
-  /// (0 = never) — exercises mid-stream eviction + lazy re-admission.
+  /// Shard policy: evict a session after this many consecutive idle
+  /// sweeps, one per watchdog interval (0 = never) — exercises
+  /// mid-stream eviction + lazy re-admission.
   std::uint64_t idle_evict_steps = 0;
   /// Per-session access budget (0 = unlimited): forces evictions while
   /// traffic is still arriving.

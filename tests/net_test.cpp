@@ -5,10 +5,12 @@
 // protocol errors (never a crash or a wedged connection) for the whole
 // malformed-input catalogue.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/codec_factory.h"
@@ -784,6 +786,141 @@ TEST(NetServerTest, ReadTimeoutDropsIdleConnection) {
   EXPECT_THROW(idle.ReadFrame(), NetError);
   EXPECT_GE(server.stats().timeouts, 1u);
   server.Stop();
+}
+
+/// CPU seconds this process has used so far (every thread).
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + 1e-6 * t.tv_usec;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(NetServerTest, IdleServerStaysAsleep) {
+  // 100 sessions opened, fed and drained, then silence: a server that
+  // wakes only on work sleeps. A driver nap or a fixed poll tick shows up
+  // here as a steady trickle of CPU.
+  Server server(LoopbackConfig());
+  server.Start();
+  Client client(OptionsFor(server));
+  const std::vector<BusAccess> batch = TestStream(256, 4);
+  for (int i = 0; i < 100; ++i) {
+    const OpenReply opened = client.Open(OpenRequest{});
+    ASSERT_EQ(client.Submit(opened.session_id, batch).status, Status::kOk);
+    ASSERT_EQ(client.DrainStats(opened.session_id, true).stream_length,
+              batch.size());
+  }
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(3));
+  const double used = ProcessCpuSeconds() - before;
+  // < 1% of one core over the 3 s.
+  EXPECT_LT(used, 0.030) << "idle process used " << used * 1e3
+                         << " ms of CPU in 3 s";
+  server.Stop();
+}
+
+TEST(NetServerTest, DrainStatsRepliesWithoutATick) {
+  // Lock-step SUBMIT -> DRAIN_STATS(wait) rounds over more shards than
+  // workers. Each reply must leave when the session drains, not at a
+  // timer: 200 rounds at a 20 ms tick would take 4 s. A lost wakeup
+  // leaves a reply unsent, and the client's read times out.
+  ServerConfig config = LoopbackConfig();
+  config.service.shards = 4;
+  config.service.parallelism = 1;
+  Server server(std::move(config));
+  server.Start();
+  Client client(OptionsFor(server));
+
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kRounds = 200;
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kLength = kRounds / kSessions * kBatch;
+  const char* const codecs[] = {"t0", "bus-invert", "gray", "dual-t0-bi"};
+  std::vector<std::uint64_t> ids;
+  std::vector<std::vector<BusAccess>> streams;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    OpenRequest open;
+    open.codec = codecs[s % 4];
+    ids.push_back(client.Open(open).session_id);
+    streams.push_back(TestStream(kLength, 50 + s));
+  }
+  std::chrono::steady_clock::duration waited{};
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::size_t s = round % kSessions;
+    const std::size_t at = round / kSessions * kBatch;
+    const std::span<const BusAccess> stream(streams[s]);
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(client.Submit(ids[s], stream.subspan(at, kBatch)).status,
+              Status::kOk);
+    const StatsReply stats = client.DrainStats(ids[s], true);
+    waited += std::chrono::steady_clock::now() - start;
+
+    SCOPED_TRACE(round);
+    ASSERT_EQ(stats.stream_length, at + kBatch);
+    const std::vector<std::size_t> resets(stats.reset_points.begin(),
+                                          stats.reset_points.end());
+    const EvalResult expected =
+        EvaluateWithSchedule(codecs[s % 4], CodecOptions{},
+                             stream.subspan(0, at + kBatch), {}, resets);
+    EXPECT_EQ(stats.transitions, expected.transitions);
+    EXPECT_EQ(stats.peak_transitions, expected.peak_transitions);
+    EXPECT_EQ(stats.in_sequence_percent, expected.in_sequence_percent);
+    EXPECT_EQ(stats.per_line,
+              std::vector<long long>(expected.per_line.begin(),
+                                     expected.per_line.end()));
+  }
+  EXPECT_LT(waited, std::chrono::milliseconds(kRounds * 20 / 2));
+  server.Stop();
+}
+
+TEST(NetServerTest, StopWhileSessionsDrain) {
+  // Stop() while DRAIN_STATS replies are deferred and queues are full.
+  // The shard's driver is held in a stall hook, so its queues cannot
+  // drain before Stop(); once released it drains and posts to a loop
+  // that must still exist. Sanitizer builds catch a use after free.
+  ServerConfig config = LoopbackConfig();
+  config.service.parallelism = 1;
+  config.service.enable_watchdog = false;
+  auto server = std::make_unique<Server>(std::move(config));
+  server->service().shard(0).SetStallHook(
+      []() { std::this_thread::sleep_for(std::chrono::milliseconds(300)); });
+  server->Start();
+  Client client(OptionsFor(*server));
+
+  // Sessions land on the shards round-robin. Both shards get a short
+  // queue, which one pass drains to empty (a post to the loop), and a
+  // long one, which is still queued when the driver stops.
+  const std::vector<BusAccess> stream = TestStream(4096, 3);
+  const OpenReply probe = client.Open(OpenRequest{});
+  std::vector<std::uint8_t> requests;
+  for (int i = 0; i < 8; ++i) {
+    const OpenReply opened = client.Open(OpenRequest{});
+    const std::size_t length = i % 4 < 2 ? 200 : stream.size();
+    ASSERT_NE(client.Submit(opened.session_id,
+                            std::span<const BusAccess>(stream).first(length))
+                  .status,
+              Status::kRejected);
+    DrainStatsRequest drain;
+    drain.session_id = opened.session_id;
+    drain.wait_drained = true;
+    const std::vector<std::uint8_t> frame =
+        EncodeFrame(FrameType::kDrainStats, EncodeDrainStats(drain));
+    requests.insert(requests.end(), frame.begin(), frame.end());
+  }
+  // CLOSE_OK after the DRAIN_STATS frames proves the loop read them all.
+  CloseRequest close;
+  close.session_id = probe.session_id;
+  const std::vector<std::uint8_t> frame =
+      EncodeFrame(FrameType::kClose, EncodeClose(close));
+  requests.insert(requests.end(), frame.begin(), frame.end());
+  client.SendRaw(requests);
+  while (client.ReadFrame().type != FrameType::kCloseOk) {
+  }
+  EXPECT_GT(server->service().total_queued(), 0u);
+  server->Stop();
+  server.reset();
 }
 
 TEST(NetServerTest, UnixSocketEndpointWorks) {

@@ -634,6 +634,44 @@ TEST(ServiceTest, DriversProcessConcurrentClients) {
   }
 }
 
+TEST(ServiceTest, MoreShardsThanWorkersAllDrain) {
+  // Four shards share one pool worker: a driver that held its worker
+  // waiting for work would starve the other three, and Drain would time
+  // out.
+  ServiceConfig service_config;
+  service_config.shards = 4;
+  service_config.parallelism = 1;
+  EncodingService service(service_config);
+
+  constexpr std::size_t kSessions = 16;
+  std::vector<std::vector<BusAccess>> streams;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    streams.push_back(TestStream(verify::StreamFamily::kMultiplexed,
+                                 300 + i, 500));
+    ids.push_back(service.OpenSession());
+  }
+  for (std::size_t offset = 0; offset < 500; offset += 100) {
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      const std::span<const BusAccess> batch =
+          std::span<const BusAccess>(streams[i]).subspan(offset, 100);
+      ASSERT_NE(service.Submit(ids[i], batch), Admission::kRejected);
+    }
+  }
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(20000)));
+  EXPECT_EQ(service.total_queued(), 0u);
+  EXPECT_EQ(service.failovers(), 0u);
+  EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE(i);
+    const SessionReport report = service.Report(ids[i]);
+    ExpectSameEvalResult(report.result,
+                         EvaluateWithSchedule("t0", CodecOptions{},
+                                              streams[i], {},
+                                              report.reset_points));
+  }
+}
+
 TEST(WatchdogTest, FailsOverAWedgedShardAndNoWorkIsLost) {
   ServiceConfig service_config;
   service_config.shards = 2;
