@@ -45,16 +45,16 @@ void Shard::SetStallHook(std::function<void()> hook) {
   stall_hook_ = std::move(hook);
 }
 
-bool Shard::Step() {
-  if (dead()) return false;
+void Shard::Step() {
+  if (dead()) return;
   std::function<void()> hook;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     hook = stall_hook_;
     stepping_ = true;
   }
-  if (hook) hook();          // injected fault: a wedged shard hangs here
-  if (dead()) return false;  // failed over while we were stuck
+  if (hook) hook();    // injected fault: a wedged shard hangs here
+  if (dead()) return;  // failed over while we were stuck
 
   // This pass owns the sessions queued so far; each one that keeps work
   // re-queues itself for the next pass, which makes the pass round-robin.
@@ -77,7 +77,6 @@ bool Shard::Step() {
     stepping_ = false;
   }
   heartbeat_.fetch_add(1, std::memory_order_release);
-  return !ready.empty();
 }
 
 void Shard::SweepIdle() {

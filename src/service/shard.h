@@ -85,9 +85,8 @@ class Shard {
     if (hooks_.drained) hooks_.drained(session);
   }
 
-  /// One drain pass over the run queue; returns whether any session was
-  /// drained. No-op once dead.
-  bool Step();
+  /// One drain pass over the run queue. No-op once dead.
+  void Step();
 
   /// The driver's end of pass: true while the run queue holds sessions
   /// (step again); false clears the scheduled flag, under the same lock
