@@ -898,10 +898,9 @@ TEST(NetServerTest, StopWhileSessionsDrain) {
   for (int i = 0; i < 8; ++i) {
     const OpenReply opened = client.Open(OpenRequest{});
     const std::size_t length = i % 4 < 2 ? 200 : stream.size();
-    ASSERT_NE(client.Submit(opened.session_id,
-                            std::span<const BusAccess>(stream).first(length))
-                  .status,
-              Status::kRejected);
+    const SubmitAck ack = client.Submit(
+        opened.session_id, std::span<const BusAccess>(stream).first(length));
+    ASSERT_NE(ack.status, Status::kRejected);
     DrainStatsRequest drain;
     drain.session_id = opened.session_id;
     drain.wait_drained = true;

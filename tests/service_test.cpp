@@ -665,10 +665,9 @@ TEST(ServiceTest, MoreShardsThanWorkersAllDrain) {
   for (std::size_t i = 0; i < kSessions; ++i) {
     SCOPED_TRACE(i);
     const SessionReport report = service.Report(ids[i]);
-    ExpectSameEvalResult(report.result,
-                         EvaluateWithSchedule("t0", CodecOptions{},
-                                              streams[i], {},
-                                              report.reset_points));
+    const EvalResult want = EvaluateWithSchedule(
+        "t0", CodecOptions{}, streams[i], {}, report.reset_points);
+    ExpectSameEvalResult(report.result, want);
   }
 }
 
