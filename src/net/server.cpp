@@ -415,12 +415,20 @@ class Server::Loop {
     }
     // Takeover: a reconnecting client may attach before the server has
     // noticed its old connection die; the newest attach wins and the
-    // stale connection loses the session, with its deferred STATS.
+    // stale connection loses the session. Each DRAIN_STATS it still
+    // waits on for the session is answered with NOT_ATTACHED, so a
+    // client alive on it fails instead of waiting for its read timeout.
     if (slot.attached_fd >= 0 && slot.attached_fd != conn.fd) {
       auto old = conns_.find(slot.attached_fd);
       if (old != conns_.end()) {
         old->second.sessions.erase(attach.session_id);
-        std::erase(old->second.pending_stats, attach.session_id);
+        const std::size_t owed =
+            std::erase(old->second.pending_stats, attach.session_id);
+        for (std::size_t i = 0; i < owed; ++i) {
+          SendError(old->second, Status::kNotAttached,
+                    "session " + std::to_string(attach.session_id) +
+                        " was attached to another connection");
+        }
       }
     }
     slot.attached_fd = conn.fd;

@@ -10,15 +10,10 @@ EncodingService::EncodingService(ServiceConfig config)
   if (config_.shards == 0) {
     throw std::invalid_argument("EncodingService: shards must be nonzero");
   }
-  ShardHooks hooks;
-  hooks.drained = [this](Session& session) { SessionDrained(session); };
-  if (config_.start_drivers) {
-    hooks.schedule = [this](unsigned index) { ScheduleDriver(index); };
-  }
   shards_.reserve(config_.shards);
   for (unsigned i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, config_.idle_evict_steps,
-                                              &metrics_, hooks));
+                                              &metrics_, *this));
   }
   if (config_.start_drivers) {
     const unsigned workers = config_.parallelism != 0
@@ -185,13 +180,14 @@ ShutdownResult EncodingService::Stop(std::chrono::milliseconds deadline) {
   if (watchdog_.joinable()) watchdog_.join();
   ShutdownResult result = ShutdownResult::kDrained;
   if (pool_) {
+    // The pool object lives on until the service does: a submission on a
+    // client thread may still schedule a driver, which a stopped pool
+    // refuses (ScheduleDriver). On kTimedOut its workers were detached
+    // and share its internal state; destroying the service is then safe,
+    // but the wedged task itself must not touch the service after that —
+    // the caller unwedges or leaks it, as with any deadline-abandonment
+    // scheme.
     result = pool_->Shutdown(deadline);
-    if (result == ShutdownResult::kDrained) pool_.reset();
-    // On kTimedOut the pool object is kept alive (its workers were
-    // detached and share its internal state); destroying the service is
-    // then safe, but the wedged task itself must not touch the service
-    // after that — the caller unwedges or leaks it, as with any
-    // deadline-abandonment scheme.
   }
   stopped_ = true;
   return result;
@@ -201,11 +197,20 @@ void EncodingService::StepAll() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (!shard->dead()) shard->Step();
   }
-  for (const std::unique_ptr<Shard>& shard : shards_) shard->SweepIdle();
+  SweepIdle();
+}
+
+void EncodingService::SweepIdle() {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    idle_evictions_.fetch_add(shard->SweepIdle(), std::memory_order_relaxed);
+  }
 }
 
 void EncodingService::ScheduleDriver(unsigned index) {
-  if (stopping_.load(std::memory_order_acquire)) return;
+  // Manual mode runs no drivers: StepAll() steps the shards.
+  if (!config_.start_drivers || stopping_.load(std::memory_order_acquire)) {
+    return;
+  }
   try {
     pool_->Submit([this, index]() { DriveShard(index); });
   } catch (const std::logic_error&) {
@@ -237,7 +242,7 @@ void EncodingService::WatchdogLoop() {
       return stopping_.load(std::memory_order_acquire);
     });
     if (stopping_.load(std::memory_order_acquire)) return;
-    for (const std::unique_ptr<Shard>& shard : shards_) shard->SweepIdle();
+    SweepIdle();
     if (!config_.enable_watchdog) continue;
     Bump(metrics_.watchdog_checks);
     for (std::size_t i = 0; i < shards_.size(); ++i) {

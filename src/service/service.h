@@ -172,6 +172,11 @@ class EncodingService {
     return failovers_.load(std::memory_order_relaxed);
   }
 
+  /// Sessions evicted by idle sweeps (not by budget or EvictSession).
+  std::uint64_t idle_evictions() const {
+    return idle_evictions_.load(std::memory_order_relaxed);
+  }
+
   unsigned shard_count() const {
     return static_cast<unsigned>(shards_.size());
   }
@@ -179,9 +184,14 @@ class EncodingService {
   Shard& shard(unsigned index) { return *shards_[index]; }
 
  private:
+  // A shard asks for its driver (Shard::Enqueue) and reports a session
+  // drained to empty (Shard::Drained).
+  friend class Shard;
   void ScheduleDriver(unsigned index);
-  void DriveShard(std::size_t index);
   void SessionDrained(Session& session);
+
+  void DriveShard(std::size_t index);
+  void SweepIdle();  // one idle sweep of every shard
   void WatchdogLoop();
   void FailOver(std::size_t index);
 
@@ -198,6 +208,7 @@ class EncodingService {
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // Stop() ran to completion (main thread only)
   std::atomic<std::uint64_t> failovers_{0};
+  std::atomic<std::uint64_t> idle_evictions_{0};
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;

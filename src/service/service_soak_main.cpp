@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
             << " degraded deliveries\n"
             << "  sessions degraded: " << outcome.degraded_sessions
             << ", evicted: " << outcome.evicted_sessions
+            << " (idle sweeps evicted " << outcome.idle_evictions << ")"
             << ", rejected batches (resubmitted): "
             << outcome.rejected_batches
             << ", failovers: " << outcome.failovers << "\n"

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "service/service.h"
+
 namespace abenc::service {
 
 void Shard::Add(std::shared_ptr<Session> session) {
@@ -25,13 +27,15 @@ void Shard::Enqueue(std::shared_ptr<Session> session) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     run_queue_.push_back(std::move(session));
-    if (!scheduled_ && hooks_.schedule && !dead()) {
+    if (!scheduled_ && !dead()) {
       scheduled_ = true;
       schedule = true;
     }
   }
-  if (schedule) hooks_.schedule(index_);
+  if (schedule) service_.ScheduleDriver(index_);
 }
+
+void Shard::Drained(Session& session) { service_.SessionDrained(session); }
 
 bool Shard::FinishPass() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -53,9 +57,18 @@ void Shard::Step() {
     hook = stall_hook_;
     stepping_ = true;
   }
-  if (hook) hook();    // injected fault: a wedged shard hangs here
-  if (dead()) return;  // failed over while we were stuck
+  try {
+    if (hook) hook();  // injected fault: a wedged shard hangs here
+    DrainReady();
+  } catch (...) {
+    EndStep();
+    throw;
+  }
+  EndStep();
+}
 
+void Shard::DrainReady() {
+  if (dead()) return;  // failed over while we were stuck
   // This pass owns the sessions queued so far; each one that keeps work
   // re-queues itself for the next pass, which makes the pass round-robin.
   std::vector<std::shared_ptr<Session>> ready;
@@ -63,14 +76,33 @@ void Shard::Step() {
     std::lock_guard<std::mutex> lock(mutex_);
     ready.swap(run_queue_);
   }
-  for (const std::shared_ptr<Session>& session : ready) {
+  for (std::size_t i = 0; i < ready.size(); ++i) {
     if (dead()) break;  // failover re-queues the rest on the survivors
-    session->DrainStep(kDrainBatch);
-    // Over-budget eviction right after the drain; Evict() itself
-    // re-checks eligibility (active, queue empty) under the session's
-    // locks, so this is a cheap pre-filter.
-    if (session->OverBudget()) session->Evict();
+    Session& session = *ready[i];
+    try {
+      session.DrainStep(kDrainBatch);
+      // Over-budget eviction right after the drain; Evict() itself
+      // re-checks eligibility (active, queue empty) under the session's
+      // locks, so this is a cheap pre-filter.
+      if (session.OverBudget()) session.Evict();
+    } catch (...) {
+      // Sessions keep their runnable flag while on no run queue, so no
+      // submission would re-queue them: put the rest of the pass back in
+      // order, ahead of later arrivals, and the one that threw behind
+      // everything, so a session that keeps throwing cannot starve the
+      // others. A dead shard's sessions are re-queued by failover.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!dead()) {
+        run_queue_.insert(run_queue_.begin(), ready.begin() + i + 1,
+                          ready.end());
+        run_queue_.push_back(std::move(ready[i]));
+      }
+      throw;
+    }
   }
+}
+
+void Shard::EndStep() {
   Bump(metrics_->shard_steps);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -79,17 +111,21 @@ void Shard::Step() {
   heartbeat_.fetch_add(1, std::memory_order_release);
 }
 
-void Shard::SweepIdle() {
-  if (idle_evict_steps_ == 0 || dead()) return;
+std::size_t Shard::SweepIdle() {
+  if (idle_evict_steps_ == 0 || dead()) return 0;
   std::vector<std::shared_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     sessions = sessions_;
   }
+  std::size_t evicted = 0;
   for (const std::shared_ptr<Session>& session : sessions) {
     if (session->queued() != 0) continue;
-    if (session->CountIdleSweep() >= idle_evict_steps_) session->Evict();
+    if (session->CountIdleSweep() >= idle_evict_steps_ && session->Evict()) {
+      ++evicted;
+    }
   }
+  return evicted;
 }
 
 bool Shard::has_work() const {

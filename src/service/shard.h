@@ -4,15 +4,19 @@
 // queue once, one bounded batch each, round-robin; a session that still
 // has work re-queues itself at the end of its DrainStep. The submission
 // that makes a session runnable puts it on its shard's run queue, and
-// the first one to find the shard unscheduled schedules the shard's
-// driver through ShardHooks::schedule. The driver steps while the run
-// queue is non-empty and returns when it is empty (FinishPass), so an
-// idle shard costs nothing.
+// the first one to find the shard unscheduled asks the service to
+// schedule the shard's driver (EncodingService::ScheduleDriver). The
+// driver steps while the run queue is non-empty and returns when it is
+// empty (FinishPass), so an idle shard costs nothing.
 //
 // Robustness hooks:
 //  - a heartbeat counter advances at the end of every Step(), so the
 //    service watchdog can tell a wedged shard (heartbeat frozen while it
 //    has work) from an idle one;
+//  - a Step() that a session's drain throws out of still ends the pass:
+//    the sessions it had not drained go back on the run queue (the one
+//    that threw behind the rest) and the heartbeat advances, so one
+//    failing session neither strands the others nor reads as a wedge;
 //  - MarkDead() fences a failed-over shard: a zombie Step() that resumes
 //    after failover observes the flag and exits without touching the
 //    sessions, which by then belong to another shard (session drains are
@@ -43,13 +47,7 @@
 
 namespace abenc::service {
 
-/// How a shard reaches its service.
-struct ShardHooks {
-  /// Run the shard's driver; empty in manual mode (StepAll drives).
-  std::function<void(unsigned shard)> schedule;
-  /// A session's queue drained to empty (called on the draining thread).
-  std::function<void(Session&)> drained;
-};
+class EncodingService;
 
 class Shard {
  public:
@@ -58,11 +56,11 @@ class Shard {
 
   /// `idle_evict_steps` 0 = never idle-evict.
   Shard(unsigned index, std::uint64_t idle_evict_steps,
-        const ServiceMetrics* metrics, ShardHooks hooks)
+        const ServiceMetrics* metrics, EncodingService& service)
       : index_(index),
         idle_evict_steps_(idle_evict_steps),
         metrics_(metrics),
-        hooks_(std::move(hooks)) {}
+        service_(service) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -80,12 +78,13 @@ class Shard {
   /// it is not already scheduled (Session calls this).
   void Enqueue(std::shared_ptr<Session> session);
 
-  /// Session calls this when its queue drained to empty.
-  void Drained(Session& session) {
-    if (hooks_.drained) hooks_.drained(session);
-  }
+  /// Session calls this when its queue drained to empty; the service
+  /// wakes Drain() waiters and an armed drain signal's listener.
+  void Drained(Session& session);
 
-  /// One drain pass over the run queue. No-op once dead.
+  /// One drain pass over the run queue. No-op once dead. An exception
+  /// from a session's drain ends the pass early and is rethrown, after
+  /// the undrained sessions are back on the run queue.
   void Step();
 
   /// The driver's end of pass: true while the run queue holds sessions
@@ -94,10 +93,11 @@ class Shard {
   bool FinishPass();
 
   /// Count one idle sweep for every owned session without queued work
-  /// and evict those idle for `idle_evict_steps` sweeps.
-  void SweepIdle();
+  /// and evict those idle for `idle_evict_steps` sweeps; returns how many
+  /// it evicted.
+  std::size_t SweepIdle();
 
-  /// Advances at the end of every completed Step().
+  /// Advances at the end of every Step(), one a drain threw out of too.
   std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_acquire);
   }
@@ -114,16 +114,23 @@ class Shard {
   void SetStallHook(std::function<void()> hook);
 
  private:
+  // Drain the sessions on the run queue (Step() after its stall hook).
+  void DrainReady();
+  // Clear stepping_ and advance the heartbeat: the pass is over.
+  void EndStep();
+
   const unsigned index_;
   const std::uint64_t idle_evict_steps_;
   const ServiceMetrics* metrics_;
-  const ShardHooks hooks_;
+  EncodingService& service_;
 
   // Guards sessions_, run_queue_, scheduled_, stepping_ and stall_hook_.
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Session>> sessions_;
   std::vector<std::shared_ptr<Session>> run_queue_;
-  bool scheduled_ = false;  // a driver task is queued or running
+  // A driver task was requested and has not finished its last pass (in
+  // manual mode the service runs none, and this stays set).
+  bool scheduled_ = false;
   bool stepping_ = false;   // a Step() is between its hook and heartbeat
   std::function<void()> stall_hook_;
 

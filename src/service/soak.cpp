@@ -144,8 +144,11 @@ ServiceConfig SoakServiceConfig(const SoakCommonOptions& options) {
   ServiceConfig config;
   config.shards = std::max(1u, options.shards);
   config.parallelism = std::max(1u, options.parallelism);
-  config.watchdog_interval = std::chrono::milliseconds(100);
-  config.watchdog_stuck_strikes = 10;
+  // Checks every millisecond, so idle sweeps (one per check) come often
+  // enough to evict sessions waiting for their client; 1000 frozen
+  // checks in a row, about a second, declare a shard wedged.
+  config.watchdog_interval = std::chrono::milliseconds(1);
+  config.watchdog_stuck_strikes = 1000;
   return config;
 }
 
@@ -418,6 +421,7 @@ SoakOutcome RunSoak(const SoakOptions& options) {
     unwedge.set_value();
   }
   outcome.failovers = service.failovers();
+  outcome.idle_evictions = service.idle_evictions();
 
   service.Stop();
   if (!drained) {

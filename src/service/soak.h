@@ -77,7 +77,8 @@ bool ParseSoakFlag(int argc, char** argv, int& i, SoakCommonOptions& options);
 
 /// The service both soaks run: the flags' shards and parallelism and a
 /// patient watchdog, which fails a wedged shard over within ~1 s but
-/// gives one merely starved for CPU (sanitizers, busy CI) time first.
+/// gives one merely starved for CPU (sanitizers, busy CI) time first. It
+/// checks every millisecond, and each check is an idle sweep.
 ServiceConfig SoakServiceConfig(const SoakCommonOptions& options);
 
 /// A run's clock, started at construction, against --time-budget-s.
@@ -212,8 +213,8 @@ struct SoakOptions : SoakCommonOptions {
   /// path (SubmitColumns) instead of the row-wise Submit span.
   double columnar_fraction = 0.0;
   /// Shard policy: evict a session after this many consecutive idle
-  /// sweeps, one per watchdog interval (0 = never) — exercises
-  /// mid-stream eviction + lazy re-admission.
+  /// sweeps, one per watchdog interval of 1 ms (0 = never) — exercises
+  /// eviction + lazy re-admission.
   std::uint64_t idle_evict_steps = 0;
   /// Per-session access budget (0 = unlimited): forces evictions while
   /// traffic is still arriving.
@@ -225,6 +226,7 @@ struct SoakOptions : SoakCommonOptions {
 
 struct SoakOutcome : SoakTally {
   std::size_t evicted_sessions = 0;    // >=1 reset point logged
+  std::uint64_t idle_evictions = 0;    // evictions by an idle sweep
   std::uint64_t rejected_batches = 0;  // backpressure hits (resubmitted)
   std::size_t columnar_sessions = 0;   // sessions on SubmitColumns
   std::uint64_t failovers = 0;

@@ -8,6 +8,9 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -920,6 +923,64 @@ TEST(NetServerTest, StopWhileSessionsDrain) {
   EXPECT_GT(server->service().total_queued(), 0u);
   server->Stop();
   server.reset();
+}
+
+TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
+  // A DRAIN_STATS(wait) is deferred on connection A while the shard is
+  // held; connection B then takes the session over with ATTACH. A must
+  // get NOT_ATTACHED for it at once, not silence until its read timeout.
+  ServerConfig config = LoopbackConfig();
+  config.service.shards = 1;
+  config.service.parallelism = 1;
+  config.service.enable_watchdog = false;
+  Server server(std::move(config));
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  server.service().shard(0).SetStallHook([gate]() {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&]() { return gate->open; });
+  });
+  server.Start();
+
+  ClientOptions options = OptionsFor(server);
+  options.io_timeout = std::chrono::milliseconds(5000);
+  Client old_conn(options);
+  const OpenReply probe = old_conn.Open(OpenRequest{});
+  const OpenReply opened = old_conn.Open(OpenRequest{});
+  ASSERT_EQ(old_conn.Submit(opened.session_id, TestStream(64, 7)).status,
+            Status::kOk);
+  DrainStatsRequest drain;
+  drain.session_id = opened.session_id;
+  drain.wait_drained = true;
+  std::vector<std::uint8_t> requests =
+      EncodeFrame(FrameType::kDrainStats, EncodeDrainStats(drain));
+  // CLOSE_OK after the DRAIN_STATS frame proves the loop read it.
+  CloseRequest close;
+  close.session_id = probe.session_id;
+  const std::vector<std::uint8_t> frame =
+      EncodeFrame(FrameType::kClose, EncodeClose(close));
+  requests.insert(requests.end(), frame.begin(), frame.end());
+  old_conn.SendRaw(requests);
+  ASSERT_EQ(old_conn.ReadFrame().type, FrameType::kCloseOk);
+
+  Client new_conn(options);
+  EXPECT_EQ(new_conn.Attach(opened.session_id, opened.token).accepted, 64u);
+  const Frame reply = old_conn.ReadFrame();
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(DecodeError(reply.payload).status, Status::kNotAttached);
+
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  // The new owner's STATS still waits for quiescence and is complete.
+  EXPECT_EQ(new_conn.DrainStats(opened.session_id, true).stream_length, 64u);
+  server.Stop();
 }
 
 TEST(NetServerTest, UnixSocketEndpointWorks) {

@@ -340,6 +340,54 @@ TEST(EvictionTest, IdleSessionsAreEvictedAndReadmittedLazily) {
                                             stream, {}, reset_at));
 }
 
+TEST(EvictionTest, DriversEvictIdleSessionsOnWatchdogSweeps) {
+  // With the drivers running, idle eviction is the watchdog thread's
+  // sweep, which also runs when the heartbeat checks are off. There is no
+  // budget and no renegotiation, so a reset point at 150 can only come
+  // from an idle sweep.
+  for (const bool watchdog : {true, false}) {
+    SCOPED_TRACE(watchdog);
+    ServiceConfig service_config;
+    service_config.shards = 2;
+    service_config.parallelism = 2;
+    service_config.enable_watchdog = watchdog;
+    service_config.watchdog_interval = std::chrono::milliseconds(5);
+    service_config.idle_evict_steps = 2;
+    EncodingService service(service_config);
+    const std::uint64_t id = service.OpenSession();
+    const std::vector<BusAccess> stream =
+        TestStream(verify::StreamFamily::kMultiplexed, 21, 300);
+    const std::span<const BusAccess> span(stream);
+
+    ASSERT_EQ(service.Submit(id, span.subspan(0, 150)), Admission::kAccepted);
+    ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.Report(id).state != SessionState::kEvicted &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.Report(id).state, SessionState::kEvicted);
+    EXPECT_GE(service.idle_evictions(), 1u);
+
+    ASSERT_EQ(service.Submit(id, span.subspan(150)), Admission::kAccepted);
+    service.CloseSession(id);
+    ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+    EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
+    // Later sweeps may evict the session again (at 300, or at 0 had it
+    // sat idle before its first batch); the oracle replays them all.
+    const SessionReport report = service.Report(id);
+    EXPECT_GE(report.readmissions, 1u);
+    EXPECT_NE(std::find(report.reset_points.begin(),
+                        report.reset_points.end(), 150u),
+              report.reset_points.end());
+    ExpectSameEvalResult(report.result,
+                         EvaluateWithSchedule(report.active_codec,
+                                              CodecOptions{}, stream, {},
+                                              report.reset_points));
+  }
+}
+
 TEST(EvictionTest, AccessBudgetBoundsASessionsFsmLifetime) {
   ServiceConfig service_config = ManualMode();
   EncodingService service(service_config);
@@ -669,6 +717,88 @@ TEST(ServiceTest, MoreShardsThanWorkersAllDrain) {
         "t0", CodecOptions{}, streams[i], {}, report.reset_points);
     ExpectSameEvalResult(report.result, want);
   }
+}
+
+TEST(ServiceTest, ThrowingDrainStrandsNoOtherSession) {
+  // A session whose drain throws (its channel cannot be rebuilt when it
+  // is re-admitted) ends its shard's pass early. The sessions queued
+  // behind it in that pass must still drain, and the shard must read
+  // idle afterwards, or the watchdog fails a healthy shard over.
+  ServiceConfig service_config;
+  service_config.shards = 2;
+  service_config.parallelism = 1;
+  service_config.watchdog_interval = std::chrono::milliseconds(20);
+  service_config.watchdog_stuck_strikes = 10;
+  EncodingService service(service_config);
+
+  // Hold shard 0's first pass until every submission is queued, so the
+  // failing session is first in a pass that holds the others too.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  service.shard(0).SetStallHook([gate]() {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&]() { return gate->open; });
+  });
+
+  auto fail = std::make_shared<std::atomic<bool>>(false);
+  SessionConfig failing;
+  failing.fault_installer = [fail](BusChannel&) {
+    if (fail->exchange(false)) throw std::runtime_error("injected");
+  };
+  // Placement is round-robin over the two shards, so every second
+  // session opened after the failing one joins it on shard 0.
+  const std::uint64_t failing_id = service.OpenSession(failing);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t id = service.OpenSession();
+    if (i % 2 == 1) ids.push_back(id);
+  }
+  ASSERT_TRUE(service.EvictSession(failing_id));
+  fail->store(true);
+
+  const std::vector<BusAccess> batch =
+      TestStream(verify::StreamFamily::kBoundary, 40, 100);
+  ASSERT_EQ(service.Submit(failing_id, batch), Admission::kAccepted);
+  std::vector<std::vector<BusAccess>> streams;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    streams.push_back(
+        TestStream(verify::StreamFamily::kMultiplexed, 41 + i, 300));
+    ASSERT_EQ(service.Submit(ids[i], streams[i]), Admission::kAccepted);
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto done = [&]() {
+    for (const std::uint64_t id : ids) {
+      if (service.SessionQueued(id) != 0) return false;
+    }
+    return !service.shard(0).has_work();
+  };
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(done());
+  EXPECT_FALSE(fail->load());  // the injected failure fired
+  // Longer than the watchdog's 200 ms patience.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(service.failovers(), 0u);
+  EXPECT_FALSE(service.shard(0).dead());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    SCOPED_TRACE(i);
+    CodecPtr reference = MakeCodec("t0");
+    ExpectSameEvalResult(service.Report(ids[i]).result,
+                         Evaluate(*reference, streams[i]));
+  }
+  service.Stop();
 }
 
 TEST(WatchdogTest, FailsOverAWedgedShardAndNoWorkIsLost) {
