@@ -4,15 +4,17 @@
 Each call runs the benchmark once, unchanged, from a checkout:
 
     python3 tools/bench_record.py --checkout ../parent --side parent \\
-        --workload wire-interactive --seed 1 [--seconds 20] [--trace 0]
+        --workload wire-interactive --seed 1 [--trace 0]
 
 which executes `python3 perfbench/run.py --workload W --seed S --seconds N
---trace T` in that checkout and appends one record to BENCH_<W>.json (next
-to this repository's BENCHMARK.json, or --out): the side (parent or
-change), the commit id of the checkout, the fingerprint and the run's final
-JSON line. The fingerprint's `source_dir` is dropped: it names a local
-directory, and the commit id names the tree. After every append the file's
-`summary` is rewritten: for each side, untraced and traced runs apart, the
+--trace T` in that checkout, N being BENCHMARK.json's `run_seconds` (the
+length the benchmark is judged at), and appends one record to
+BENCH_<W>.json (next to this repository's BENCHMARK.json, or --out): the
+side (parent or change), the checkout's HEAD commit id, the fingerprint and
+the run's final JSON line. The fingerprint's `source_dir` is dropped: it
+names a local directory, and the commit id names the tree (so record from
+a checkout without local edits). After every append the file's `summary`
+is rewritten: for each side, untraced and traced runs apart, the
 per-metric run count, median and quartiles, and for the untraced runs the
 number of parent/change pairs the change won on each metric (runs paired
 in recording order; `better` from BENCHMARK.json).
@@ -105,10 +107,13 @@ def summarize(runs, better):
     return summary
 
 
-def load_better(benchmark_json):
+def load_spec(benchmark_json):
+    """Returns (run_seconds, better) from BENCHMARK.json: the run length
+    and each metric's better direction."""
     spec = json.loads(Path(benchmark_json).read_text())
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    return spec["run_seconds"], better
 
 
 def append_record(path, record, better):
@@ -138,30 +143,27 @@ def main():
     parser.add_argument("--side", choices=SIDES, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--commit",
-                        help="commit id to record (default: the "
-                             "checkout's HEAD)")
     parser.add_argument("--out", help="default: BENCH_<workload>.json at "
                                       "this repository's root")
     args = parser.parse_args()
 
+    seconds, better = load_spec(ROOT / "BENCHMARK.json")
     checkout = Path(args.checkout).resolve()
-    commit = args.commit or commit_of(checkout)
+    commit = commit_of(checkout)
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--seed", str(args.seed), "--seconds", str(seconds),
          "--trace", str(args.trace)],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     sys.stdout.write(run.stdout)
     fingerprint, result = parse_run_output(run.stdout)
     record = {"side": args.side, "commit": commit,
               "workload": args.workload, "seed": args.seed,
-              "seconds": args.seconds, "trace": args.trace,
+              "seconds": seconds, "trace": args.trace,
               "fingerprint": fingerprint, "result": result}
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
-    append_record(out, record, load_better(ROOT / "BENCHMARK.json"))
+    append_record(out, record, better)
     return run.returncode
 
 

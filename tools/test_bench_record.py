@@ -72,6 +72,21 @@ class SpreadTest(unittest.TestCase):
         self.assertEqual((s["median"], s["q1"], s["q3"]), (7.0, 7.0, 7.0))
 
 
+class SpecTest(unittest.TestCase):
+    def test_reads_run_length_and_directions(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "BENCHMARK.json"
+            path.write_text(json.dumps({
+                "run_seconds": 20,
+                "end_to_end": [{"name": "maccess_s", "better": "higher"}],
+                "per_layer": [{"name": "net.open_us_p50",
+                               "better": "lower"}]}))
+            seconds, better = bench_record.load_spec(path)
+        self.assertEqual(seconds, 20)
+        self.assertEqual(better, {"maccess_s": "higher",
+                                  "net.open_us_p50": "lower"})
+
+
 class SummaryTest(unittest.TestCase):
     def test_pairs_count_wins_in_each_metrics_direction(self):
         runs = [record("parent", 0.10, 20.6), record("change", 1.5, 0.9),
