@@ -58,6 +58,11 @@ unsigned ThreadPool::DefaultParallelism() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::size_t ThreadPool::queued() const {
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  return state_->tasks.size();
+}
+
 void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(state_->mutex);

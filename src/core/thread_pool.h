@@ -83,6 +83,9 @@ class ThreadPool {
   /// repeat calls re-wait for still-alive workers.
   ShutdownResult Shutdown(std::chrono::milliseconds deadline);
 
+  /// Tasks submitted and not yet taken by a worker.
+  std::size_t queued() const;
+
   /// `std::thread::hardware_concurrency()`, never reported as 0.
   static unsigned DefaultParallelism();
 

@@ -220,17 +220,26 @@ void EncodingService::ScheduleDriver(unsigned index) {
 
 void EncodingService::DriveShard(std::size_t index) {
   Shard& shard = *shards_[index];
-  if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
-  try {
-    shard.Step();
-  } catch (...) {
-    // A shard pass must never take the pool down; count and carry on.
-    Bump(metrics_.shard_errors);
+  for (;;) {
+    if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
+    try {
+      shard.Step();
+    } catch (...) {
+      // A shard pass must never take the pool down; count and carry on.
+      Bump(metrics_.shard_errors);
+    }
+    if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
+    // Done until a submission schedules the driver again.
+    if (!shard.FinishPass()) return;
+    // Sessions are still ready. Step again on this worker unless another
+    // driver waits for one; then queue behind it, so shards take turns
+    // when there are more shards than workers. Resubmitting after every
+    // pass would instead wake an idle worker for each kDrainBatch.
+    if (pool_->queued() != 0) {
+      ScheduleDriver(static_cast<unsigned>(index));
+      return;
+    }
   }
-  if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
-  // Step again while sessions are ready; otherwise the driver is done
-  // until a submission schedules it again.
-  if (shard.FinishPass()) ScheduleDriver(static_cast<unsigned>(index));
 }
 
 void EncodingService::WatchdogLoop() {

@@ -17,9 +17,10 @@
 //
 // Everything wakes on work, never on a clock: the submission that makes
 // a session runnable schedules its shard's driver, which steps while its
-// run queue holds sessions and returns when it is empty (a driver never
-// blocks a pool worker waiting for work, so shards > parallelism still
-// drains every shard). A session that drains to empty notifies Drain()
+// run queue holds sessions and returns when it is empty. It keeps its
+// worker between passes unless another driver waits for one, and never
+// blocks a worker waiting for work, so shards > parallelism still drains
+// every shard. A session that drains to empty notifies Drain()
 // waiters and, when armed with NotifyWhenDrained(), the drain listener.
 // Only the watchdog keeps a clock: once per watchdog_interval it checks
 // heartbeats and sweeps for idle sessions to evict.

@@ -175,6 +175,28 @@ TEST(ThreadPoolTest, DefaultParallelismIsPositive) {
   EXPECT_GE(ThreadPool::DefaultParallelism(), 1u);
 }
 
+TEST(ThreadPoolTest, QueuedCountsTasksNoWorkerHasTaken) {
+  // The service's shard drivers read queued() to decide whether to keep
+  // their worker for another pass.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.queued(), 0u);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::future<void> busy = pool.Submit([&started, gate]() {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();  // the only worker holds this task
+  std::future<int> second = pool.Submit([]() { return 2; });
+  std::future<int> third = pool.Submit([]() { return 3; });
+  EXPECT_EQ(pool.queued(), 2u);
+  release.set_value();
+  EXPECT_EQ(second.get() + third.get(), 5);
+  busy.get();
+  EXPECT_EQ(pool.queued(), 0u);
+}
+
 TEST(ThreadPoolTest, ShutdownDrainsTheBacklogWithinDeadline) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
