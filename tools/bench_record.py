@@ -11,7 +11,10 @@ which executes `python3 perfbench/run.py --workload W --seed S --seconds N
 length the benchmark is judged at), and appends one record to
 BENCH_<W>.json (next to this repository's BENCHMARK.json, or --out): the
 side (parent or change), the checkout's HEAD commit id, the fingerprint and
-the run's final JSON line. The fingerprint's `source_dir` is dropped: it
+the run's final JSON line, and the share of the host's CPU time the
+hypervisor stole while run.py ran (`host_steal_pct`, from /proc/stat;
+null where there is none), which tells a slow run on a busy host from a
+slow program. The fingerprint's `source_dir` is dropped: it
 names a local directory, and the commit id names the tree (so record from
 a checkout without local edits). After every append the file's `summary`
 is rewritten: for each side, untraced and traced runs apart, the
@@ -50,6 +53,29 @@ def parse_run_output(stdout):
         raise ValueError("run.py's last line is not its JSON result")
     fingerprint.pop("source_dir", None)
     return fingerprint, result
+
+
+def cpu_times():
+    """The first eight counters of /proc/stat's `cpu` line (user, nice,
+    system, idle, iowait, irq, softirq, steal), or None without them."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return [int(field) for field in fields[1:9]]
+
+
+def steal_pct(before, after):
+    """Stolen share of all CPU time between two cpu_times() readings, in
+    percent; None when a reading is missing or no time passed."""
+    if before is None or after is None:
+        return None
+    delta = [b - a for a, b in zip(before, after)]
+    total = sum(delta)
+    return 100.0 * delta[7] / total if total > 0 else None
 
 
 def quantile(sorted_values, q):
@@ -151,17 +177,20 @@ def main():
     seconds, better = load_spec(ROOT / "BENCHMARK.json")
     checkout = Path(args.checkout).resolve()
     commit = commit_of(checkout)
+    before = cpu_times()
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds),
          "--trace", str(args.trace)],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
+    steal = steal_pct(before, cpu_times())
     sys.stdout.write(run.stdout)
     fingerprint, result = parse_run_output(run.stdout)
     record = {"side": args.side, "commit": commit,
               "workload": args.workload, "seed": args.seed,
               "seconds": seconds, "trace": args.trace,
-              "fingerprint": fingerprint, "result": result}
+              "fingerprint": fingerprint, "host_steal_pct": steal,
+              "result": result}
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     append_record(out, record, better)
     return run.returncode

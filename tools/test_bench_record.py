@@ -59,6 +59,19 @@ class ParseTest(unittest.TestCase):
                 'fingerprint {"cpu": "x"}\n{"correct": true}\n')
 
 
+class StealTest(unittest.TestCase):
+    def test_steal_is_the_eighth_counters_share_of_the_delta(self):
+        before = [100, 0, 50, 800, 0, 0, 0, 50]
+        after = [130, 0, 60, 840, 0, 0, 0, 70]  # 20 of 100 ticks stolen
+        self.assertAlmostEqual(bench_record.steal_pct(before, after), 20.0)
+
+    def test_missing_reading_or_no_elapsed_time_is_none(self):
+        reading = [1, 0, 1, 1, 0, 0, 0, 0]
+        self.assertIsNone(bench_record.steal_pct(None, reading))
+        self.assertIsNone(bench_record.steal_pct(reading, None))
+        self.assertIsNone(bench_record.steal_pct(reading, reading))
+
+
 class SpreadTest(unittest.TestCase):
     def test_quartiles_interpolate_between_ranks(self):
         s = bench_record.spread([4.0, 1.0, 3.0, 2.0])
