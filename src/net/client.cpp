@@ -9,6 +9,27 @@
 
 namespace abenc::net {
 
+template <typename Reply>
+Reply Client::Receive() {
+  const Frame frame = ReadFrame();
+  if (frame.type == FrameType::kError) {
+    const ErrorReply error = Decode<ErrorReply>(frame.payload);
+    throw WireError(error.status, error.message);
+  }
+  if (frame.type != Reply::kFrame) {
+    throw WireError(Status::kBadFrame,
+                    "expected " + FrameTypeName(Reply::kFrame) + ", got " +
+                        FrameTypeName(frame.type));
+  }
+  return Decode<Reply>(frame.payload, caps_);
+}
+
+template <typename Reply, typename Request>
+Reply Client::Call(const Request& request) {
+  SendRaw(EncodeFrame(request, caps_));
+  return Receive<Reply>();
+}
+
 Client::Client(ClientOptions options) {
   const Endpoint endpoint = ParseEndpoint(options.endpoint);
   fd_ = DialEndpoint(endpoint, options.io_timeout);
@@ -16,9 +37,7 @@ Client::Client(ClientOptions options) {
     HelloRequest hello;
     hello.version_max = options.version_max;
     hello.capabilities = options.capabilities;
-    const Frame frame = Transact(FrameType::kHello, EncodeHello(hello),
-                                 FrameType::kHelloOk);
-    const HelloReply reply = DecodeHelloOk(frame.payload);
+    const HelloReply reply = Call<HelloReply>(hello);
     max_frame_bytes_ = reply.max_frame_bytes;
     version_ = reply.version;
     caps_ = reply.capabilities;
@@ -31,35 +50,23 @@ Client::Client(ClientOptions options) {
 Client::~Client() { Abort(); }
 
 OpenReply Client::Open(const OpenRequest& request) {
-  const Frame reply =
-      Transact(FrameType::kOpen, EncodeOpen(request), FrameType::kOpenOk);
-  return DecodeOpenOk(reply.payload);
+  return Call<OpenReply>(request);
 }
 
 AttachReply Client::Attach(std::uint64_t session_id, std::uint64_t token) {
-  AttachRequest request;
-  request.session_id = session_id;
-  request.token = token;
-  const Frame reply = Transact(FrameType::kAttach, EncodeAttach(request),
-                               FrameType::kAttachOk);
-  return DecodeAttachOk(reply.payload, caps_);
+  return Call<AttachReply>(
+      AttachRequest{.session_id = session_id, .token = token});
 }
 
 SubmitAck Client::Submit(std::uint64_t session_id,
                          std::span<const BusAccess> batch) {
-  const Frame reply = Transact(FrameType::kSubmit,
-                               EncodeSubmit(session_id, batch),
-                               FrameType::kSubmitAck);
-  return DecodeSubmitAck(reply.payload, caps_);
+  SendRaw(EncodeFrame(FrameType::kSubmit, EncodeSubmit(session_id, batch)));
+  return Receive<SubmitAck>();
 }
 
 StatsReply Client::DrainStats(std::uint64_t session_id, bool wait_drained) {
-  DrainStatsRequest request;
-  request.session_id = session_id;
-  request.wait_drained = wait_drained;
-  const Frame reply = Transact(FrameType::kDrainStats,
-                               EncodeDrainStats(request), FrameType::kStats);
-  return DecodeStats(reply.payload, caps_);
+  return Call<StatsReply>(DrainStatsRequest{.session_id = session_id,
+                                            .wait_drained = wait_drained});
 }
 
 RenegotiateReply Client::Renegotiate(std::uint64_t session_id,
@@ -68,13 +75,8 @@ RenegotiateReply Client::Renegotiate(std::uint64_t session_id,
     throw WireError(Status::kBadFrame,
                     "RENEGOTIATE requires the renegotiate capability");
   }
-  RenegotiateRequest request;
-  request.session_id = session_id;
-  request.codec = codec;
-  const Frame reply = Transact(FrameType::kRenegotiate,
-                               EncodeRenegotiate(request),
-                               FrameType::kRenegotiateAck);
-  return DecodeRenegotiateAck(reply.payload);
+  return Call<RenegotiateReply>(
+      RenegotiateRequest{.session_id = session_id, .codec = codec});
 }
 
 StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
@@ -104,17 +106,7 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
   // Receive one SUBMIT_ACK and fold it into the window state. Returns
   // false once the stream should stop (input closed server-side).
   const auto consume_ack = [&]() -> bool {
-    Frame frame = ReadFrame();
-    if (frame.type == FrameType::kError) {
-      const ErrorReply error = DecodeError(frame.payload);
-      throw WireError(error.status, error.message);
-    }
-    if (frame.type != FrameType::kSubmitAck) {
-      throw WireError(Status::kBadFrame,
-                      "expected SUBMIT_ACK, got " +
-                          FrameTypeName(frame.type));
-    }
-    const SubmitAck ack = DecodeSubmitAck(frame.payload, caps_);
+    const SubmitAck ack = Receive<SubmitAck>();
     if (!ack.recommended_codec.empty()) {
       result.last_recommendation = ack.recommended_codec;
     }
@@ -141,17 +133,7 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
     const std::size_t trailing = inflight.size();
     inflight.clear();
     for (std::size_t i = 0; i < trailing; ++i) {
-      Frame f = ReadFrame();
-      if (f.type == FrameType::kError) {
-        const ErrorReply error = DecodeError(f.payload);
-        throw WireError(error.status, error.message);
-      }
-      if (f.type != FrameType::kSubmitAck) {
-        throw WireError(Status::kBadFrame,
-                        "expected SUBMIT_ACK, got " + FrameTypeName(f.type));
-      }
-      const SubmitAck trailer = DecodeSubmitAck(f.payload, caps_);
-      result.accepted = trailer.accepted;
+      result.accepted = Receive<SubmitAck>().accepted;
       ++result.rejections;
     }
     next = result.accepted;
@@ -193,11 +175,7 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
 }
 
 CloseReply Client::Close(std::uint64_t session_id) {
-  CloseRequest request;
-  request.session_id = session_id;
-  const Frame reply = Transact(FrameType::kClose, EncodeClose(request),
-                               FrameType::kCloseOk);
-  return DecodeCloseOk(reply.payload);
+  return Call<CloseReply>(CloseRequest{.session_id = session_id});
 }
 
 void Client::SendRaw(std::span<const std::uint8_t> bytes) {
@@ -225,24 +203,6 @@ void Client::ShutdownSend() {
 void Client::Abort() {
   CloseFd(fd_);
   fd_ = -1;
-}
-
-Frame Client::Transact(FrameType type,
-                       std::span<const std::uint8_t> payload,
-                       FrameType expected) {
-  const std::vector<std::uint8_t> bytes = EncodeFrame(type, payload);
-  SendRaw(bytes);
-  Frame reply = ReadFrame();
-  if (reply.type == FrameType::kError) {
-    const ErrorReply error = DecodeError(reply.payload);
-    throw WireError(error.status, error.message);
-  }
-  if (reply.type != expected) {
-    throw WireError(Status::kBadFrame,
-                    "expected " + FrameTypeName(expected) + ", got " +
-                        FrameTypeName(reply.type));
-  }
-  return reply;
 }
 
 }  // namespace abenc::net

@@ -137,10 +137,14 @@ class Client {
   bool alive() const { return fd_ >= 0; }
 
  private:
-  /// Send one frame, read one frame, demand `expected` (ERROR decodes
-  /// into a thrown WireError instead).
-  Frame Transact(FrameType type, std::span<const std::uint8_t> payload,
-                 FrameType expected);
+  /// Read the next frame and decode it as `Reply`; an ERROR becomes a
+  /// thrown WireError, any other frame type a kBadFrame one.
+  template <typename Reply>
+  Reply Receive();
+
+  /// Send `request` in its frame, then Receive<Reply>().
+  template <typename Reply, typename Request>
+  Reply Call(const Request& request);
 
   int fd_ = -1;
   std::uint64_t max_frame_bytes_ = kDefaultMaxFrameBytes;

@@ -431,8 +431,7 @@ void RunFuzzConnection(WireSoak& soak, std::size_t f) {
               std::to_string(which) + ": " + what);
   };
   std::mt19937_64 rng(verify::MixSeed(options.seed ^ (0xF022ULL + f)));
-  const std::vector<std::uint8_t> hello =
-      EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{}));
+  const std::vector<std::uint8_t> hello = EncodeFrame(HelloRequest{});
   auto with_hello = [&](const std::vector<std::uint8_t>& frame) {
     std::vector<std::uint8_t> bytes = hello;
     bytes.insert(bytes.end(), frame.begin(), frame.end());
@@ -485,8 +484,7 @@ void RunFuzzConnection(WireSoak& soak, std::size_t f) {
   {
     HelloRequest bad;
     bad.magic = 0xDEADBEEFu;
-    raw_case(4, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
-             /*require_error=*/true);
+    raw_case(4, EncodeFrame(bad), /*require_error=*/true);
   }
 
   // 5: HELLO with no protocol version overlap.
@@ -494,8 +492,7 @@ void RunFuzzConnection(WireSoak& soak, std::size_t f) {
     HelloRequest bad;
     bad.version_min = 99;
     bad.version_max = 100;
-    raw_case(5, EncodeFrame(FrameType::kHello, EncodeHello(bad)),
-             /*require_error=*/true);
+    raw_case(5, EncodeFrame(bad), /*require_error=*/true);
   }
 
   // 6: truncated frame then hard disconnect mid-frame — nothing to
@@ -504,8 +501,7 @@ void RunFuzzConnection(WireSoak& soak, std::size_t f) {
     try {
       RawConn conn(soak.dial, options.io_timeout);
       conn.Send(hello);
-      const std::vector<std::uint8_t> open_frame =
-          EncodeFrame(FrameType::kOpen, EncodeOpen(OpenRequest{}));
+      const std::vector<std::uint8_t> open_frame = EncodeFrame(OpenRequest{});
       conn.Send(std::span<const std::uint8_t>(open_frame.data(),
                                               open_frame.size() / 2));
       soak.Count(&NetSoakOutcome::fuzz_frames);
@@ -565,13 +561,9 @@ void RunFuzzConnection(WireSoak& soak, std::size_t f) {
   {
     HelloRequest v1;
     v1.version_max = 1;
-    std::vector<std::uint8_t> bytes =
-        EncodeFrame(FrameType::kHello, EncodeHello(v1));
-    RenegotiateRequest reneg;
-    reneg.session_id = 1;
-    reneg.codec = "gray";
+    std::vector<std::uint8_t> bytes = EncodeFrame(v1);
     const std::vector<std::uint8_t> frame =
-        EncodeFrame(FrameType::kRenegotiate, EncodeRenegotiate(reneg));
+        EncodeFrame(RenegotiateRequest{.session_id = 1, .codec = "gray"});
     bytes.insert(bytes.end(), frame.begin(), frame.end());
     raw_case(9, bytes, /*require_error=*/true);
   }

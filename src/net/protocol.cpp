@@ -197,209 +197,45 @@ std::optional<Frame> TryExtractFrame(std::vector<std::uint8_t>& buffer,
   return frame;
 }
 
-std::vector<std::uint8_t> EncodeHello(const HelloRequest& hello) {
-  Writer w;
-  w.U32(hello.magic);
-  w.U16(hello.version_min);
-  w.U16(hello.version_max);
-  // A client that cannot speak v2 emits the PR 9 byte layout exactly;
-  // the capability word exists only where someone can understand it.
-  if (hello.version_max >= 2) w.U32(hello.capabilities);
-  return w.Take();
+void Put::Columns(std::span<const BusAccess> rows) {
+  U32(rows.size());
+  for (const BusAccess& access : rows) U64(access.address);
+  for (const BusAccess& access : rows) U8(access.sel);
 }
 
-HelloRequest DecodeHello(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  HelloRequest hello;
-  hello.magic = r.U32();
-  hello.version_min = r.U16();
-  hello.version_max = r.U16();
-  // v1 clients offer no capabilities; absent word decodes as 0.
-  hello.capabilities = r.remaining() > 0 ? r.U32() : 0;
-  r.ExpectEnd();
-  return hello;
-}
-
-std::vector<std::uint8_t> EncodeHelloOk(const HelloReply& reply) {
-  Writer w;
-  w.U16(reply.version);
-  w.U64(reply.max_frame_bytes);
-  // Self-describing: the capability word rides only on a v2+ HELLO_OK,
-  // so a v1 negotiation stays byte-identical to PR 9.
-  if (reply.version >= 2) w.U32(reply.capabilities);
-  return w.Take();
-}
-
-HelloReply DecodeHelloOk(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  HelloReply reply;
-  reply.version = r.U16();
-  reply.max_frame_bytes = r.U64();
-  reply.capabilities = reply.version >= 2 ? r.U32() : 0;
-  r.ExpectEnd();
-  return reply;
-}
-
-std::vector<std::uint8_t> EncodeOpen(const OpenRequest& open) {
-  Writer w;
-  w.U16(open.width);
-  w.U64(open.stride);
-  w.U8(open.protection);
-  w.U64(open.queue_capacity);
-  w.U64(open.slowdown_watermark);
-  w.U32(open.max_retries);
-  w.U64(open.access_budget);
-  w.U64(open.adaptive_window);
-  w.I64(open.adaptive_hysteresis);
-  w.U64(open.fault_seed);
-  w.Str16(open.codec);
-  w.Str16(open.adaptive_palette);
-  return w.Take();
-}
-
-OpenRequest DecodeOpen(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  OpenRequest open;
-  open.width = r.U16();
-  open.stride = r.U64();
-  open.protection = r.U8();
-  open.queue_capacity = r.U64();
-  open.slowdown_watermark = r.U64();
-  open.max_retries = r.U32();
-  open.access_budget = r.U64();
-  open.adaptive_window = r.U64();
-  open.adaptive_hysteresis = r.I64();
-  open.fault_seed = r.U64();
-  open.codec = r.Str16();
-  open.adaptive_palette = r.Str16();
-  r.ExpectEnd();
-  return open;
-}
-
-std::vector<std::uint8_t> EncodeOpenOk(const OpenReply& reply) {
-  Writer w;
-  w.U64(reply.session_id);
-  w.U64(reply.token);
-  return w.Take();
-}
-
-OpenReply DecodeOpenOk(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  OpenReply reply;
-  reply.session_id = r.U64();
-  reply.token = r.U64();
-  r.ExpectEnd();
-  return reply;
-}
-
-std::vector<std::uint8_t> EncodeAttach(const AttachRequest& attach) {
-  Writer w;
-  w.U64(attach.session_id);
-  w.U64(attach.token);
-  return w.Take();
-}
-
-AttachRequest DecodeAttach(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  AttachRequest attach;
-  attach.session_id = r.U64();
-  attach.token = r.U64();
-  r.ExpectEnd();
-  return attach;
-}
-
-std::vector<std::uint8_t> EncodeAttachOk(const AttachReply& reply,
-                                         std::uint32_t capabilities) {
-  Writer w;
-  w.U64(reply.session_id);
-  w.U64(reply.accepted);
-  if (capabilities & kCapRenegotiate) {
-    w.U32(reply.renegotiations);
-    w.Str16(reply.active_codec);
+void Get::Columns(service::ColumnBatch& columns) {
+  const std::uint32_t count = in_.U32();
+  const std::size_t body = static_cast<std::size_t>(count) * 9;
+  if (in_.remaining() != body) {
+    throw WireError(Status::kBadFrame,
+                    "columns declare " + std::to_string(count) +
+                        " accesses (" + std::to_string(body) +
+                        " body bytes) but carry " +
+                        std::to_string(in_.remaining()));
   }
-  return w.Take();
+  columns.addresses.resize(count);
+  for (Word& address : columns.addresses) address = in_.U64();
+  columns.sel.resize(count);
+  for (std::uint8_t& sel : columns.sel) sel = in_.U8();
 }
 
-AttachReply DecodeAttachOk(std::span<const std::uint8_t> payload,
-                           std::uint32_t capabilities) {
-  Reader r(payload);
-  AttachReply reply;
-  reply.session_id = r.U64();
-  reply.accepted = r.U64();
-  if (capabilities & kCapRenegotiate) {
-    reply.renegotiations = r.U32();
-    reply.active_codec = r.Str16();
+void Get::CheckCount(std::uint32_t count, std::size_t min_bytes,
+                     const char* what) const {
+  if (static_cast<std::size_t>(count) * min_bytes > in_.remaining()) {
+    throw WireError(Status::kBadFrame,
+                    std::string(what) + " count exceeds the payload");
   }
-  r.ExpectEnd();
-  return reply;
 }
 
 std::vector<std::uint8_t> EncodeSubmit(std::uint64_t session_id,
-                                       std::span<const BusAccess> batch) {
-  Writer w;
-  w.U64(session_id);
-  w.U32(static_cast<std::uint32_t>(batch.size()));
-  for (const BusAccess& access : batch) w.U64(access.address);
-  for (const BusAccess& access : batch) w.U8(access.sel ? 1 : 0);
-  return w.Take();
-}
-
-SubmitRequest DecodeSubmit(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitRequest request;
-  request.session_id = r.U64();
-  const std::uint32_t count = r.U32();
-  // The columnar body must match the declared count exactly; checking
-  // before the per-access loop turns a hostile count into one clean
-  // error instead of a large partial parse.
-  const std::size_t body = static_cast<std::size_t>(count) * 9;
-  if (r.remaining() != body) {
-    throw WireError(Status::kBadFrame,
-                    "SUBMIT declares " + std::to_string(count) +
-                        " accesses (" + std::to_string(body) +
-                        " body bytes) but carries " +
-                        std::to_string(r.remaining()));
-  }
-  request.batch.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    request.batch[i].address = r.U64();
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    request.batch[i].sel = r.U8() != 0;
-  }
-  r.ExpectEnd();
-  return request;
-}
-
-std::vector<std::uint8_t> EncodeSubmitAck(const SubmitAck& ack,
-                                          std::uint32_t capabilities) {
-  Writer w;
-  w.U64(ack.session_id);
-  w.U16(static_cast<std::uint16_t>(ack.status));
-  w.U64(ack.accepted);
-  if (capabilities & kCapRenegotiate) w.Str16(ack.recommended_codec);
-  return w.Take();
-}
-
-SubmitAck DecodeSubmitAck(std::span<const std::uint8_t> payload,
-                          std::uint32_t capabilities) {
-  Reader r(payload);
-  SubmitAck ack;
-  ack.session_id = r.U64();
-  ack.status = static_cast<Status>(r.U16());
-  ack.accepted = r.U64();
-  if (capabilities & kCapRenegotiate) ack.recommended_codec = r.Str16();
-  r.ExpectEnd();
-  return ack;
-}
-
-std::vector<std::uint8_t> EncodeSubmitStream(
-    const SubmitStreamRequest& request) {
-  return EncodeSubmitStream(request.session_id, request.offset,
-                            request.want_ack,
-                            request.columns.addresses.data(),
-                            request.columns.sel.data(),
-                            request.columns.size());
+                                       std::span<const BusAccess> rows) {
+  const struct {
+    std::uint64_t session_id;
+    std::span<const BusAccess> columns;
+  } fields{session_id, rows};
+  Put put;
+  SubmitRequest::Walk(put, fields);
+  return put.Take();
 }
 
 std::vector<std::uint8_t> EncodeSubmitStream(std::uint64_t session_id,
@@ -408,231 +244,21 @@ std::vector<std::uint8_t> EncodeSubmitStream(std::uint64_t session_id,
                                              const Word* addresses,
                                              const std::uint8_t* sel,
                                              std::size_t count) {
-  Writer w;
-  w.U64(session_id);
-  w.U64(offset);
-  w.U8(want_ack ? 1 : 0);
-  w.U32(static_cast<std::uint32_t>(count));
-  for (std::size_t i = 0; i < count; ++i) w.U64(addresses[i]);
-  w.Bytes(std::span<const std::uint8_t>(sel, count));
-  return w.Take();
+  const struct {
+    std::uint64_t session_id, offset;
+    bool want_ack;
+    struct {
+      std::span<const Word> addresses;
+      std::span<const std::uint8_t> sel;
+    } columns;
+  } fields{session_id, offset, want_ack, {{addresses, count}, {sel, count}}};
+  Put put;
+  SubmitStreamRequest::Walk(put, fields);
+  return put.Take();
 }
 
 SubmitStreamRequest DecodeSubmitStream(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitStreamRequest request;
-  request.session_id = r.U64();
-  request.offset = r.U64();
-  request.want_ack = r.U8() != 0;
-  const std::uint32_t count = r.U32();
-  // Same pre-check as SUBMIT: a hostile count is one clean error, not a
-  // large partial parse.
-  const std::size_t body = static_cast<std::size_t>(count) * 9;
-  if (r.remaining() != body) {
-    throw WireError(Status::kBadFrame,
-                    "SUBMIT_STREAM declares " + std::to_string(count) +
-                        " accesses (" + std::to_string(body) +
-                        " body bytes) but carries " +
-                        std::to_string(r.remaining()));
-  }
-  request.columns.addresses.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    request.columns.addresses[i] = r.U64();
-  }
-  request.columns.sel.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    request.columns.sel[i] = r.U8();
-  }
-  r.ExpectEnd();
-  return request;
-}
-
-std::vector<std::uint8_t> EncodeRenegotiate(const RenegotiateRequest& request) {
-  Writer w;
-  w.U64(request.session_id);
-  w.Str16(request.codec);
-  return w.Take();
-}
-
-RenegotiateRequest DecodeRenegotiate(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  RenegotiateRequest request;
-  request.session_id = r.U64();
-  request.codec = r.Str16();
-  r.ExpectEnd();
-  return request;
-}
-
-std::vector<std::uint8_t> EncodeRenegotiateAck(const RenegotiateReply& reply) {
-  Writer w;
-  w.U64(reply.session_id);
-  w.U64(reply.switch_index);
-  w.Str16(reply.codec);
-  return w.Take();
-}
-
-RenegotiateReply DecodeRenegotiateAck(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  RenegotiateReply reply;
-  reply.session_id = r.U64();
-  reply.switch_index = r.U64();
-  reply.codec = r.Str16();
-  r.ExpectEnd();
-  return reply;
-}
-
-std::vector<std::uint8_t> EncodeDrainStats(const DrainStatsRequest& request) {
-  Writer w;
-  w.U64(request.session_id);
-  w.U8(request.wait_drained ? 1 : 0);
-  return w.Take();
-}
-
-DrainStatsRequest DecodeDrainStats(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  DrainStatsRequest request;
-  request.session_id = r.U64();
-  request.wait_drained = r.U8() != 0;
-  r.ExpectEnd();
-  return request;
-}
-
-std::vector<std::uint8_t> EncodeStats(const StatsReply& stats,
-                                      std::uint32_t capabilities) {
-  Writer w;
-  w.U64(stats.session_id);
-  w.U8(stats.state);
-  w.U8(stats.input_closed ? 1 : 0);
-  w.U8(stats.degraded ? 1 : 0);
-  w.U64(stats.accepted);
-  w.U64(stats.stream_length);
-  w.I64(stats.transitions);
-  w.I32(stats.peak_transitions);
-  w.F64(stats.in_sequence_percent);
-  w.U64(stats.readmissions);
-  w.U64(stats.rejected_batches);
-  w.U64(stats.peak_queue_depth);
-  w.U64(stats.transport.transfers);
-  w.U64(stats.transport.clean);
-  w.U64(stats.transport.corrected);
-  w.U64(stats.transport.recovered);
-  w.U64(stats.transport.degraded_deliveries);
-  w.U64(stats.transport.retries);
-  w.U64(stats.transport.forced_resyncs);
-  w.U32(static_cast<std::uint32_t>(stats.per_line.size()));
-  for (long long line : stats.per_line) w.I64(line);
-  w.U32(static_cast<std::uint32_t>(stats.reset_points.size()));
-  for (std::uint64_t point : stats.reset_points) w.U64(point);
-  if (capabilities & kCapRenegotiate) {
-    w.U32(static_cast<std::uint32_t>(stats.renegotiations.size()));
-    for (const CodecSwitchPoint& point : stats.renegotiations) {
-      w.U64(point.index);
-      w.Str16(point.codec_name);
-    }
-    w.Str16(stats.active_codec);
-  }
-  return w.Take();
-}
-
-StatsReply DecodeStats(std::span<const std::uint8_t> payload,
-                       std::uint32_t capabilities) {
-  Reader r(payload);
-  StatsReply stats;
-  stats.session_id = r.U64();
-  stats.state = r.U8();
-  stats.input_closed = r.U8() != 0;
-  stats.degraded = r.U8() != 0;
-  stats.accepted = r.U64();
-  stats.stream_length = r.U64();
-  stats.transitions = r.I64();
-  stats.peak_transitions = r.I32();
-  stats.in_sequence_percent = r.F64();
-  stats.readmissions = r.U64();
-  stats.rejected_batches = r.U64();
-  stats.peak_queue_depth = r.U64();
-  stats.transport.transfers = r.U64();
-  stats.transport.clean = r.U64();
-  stats.transport.corrected = r.U64();
-  stats.transport.recovered = r.U64();
-  stats.transport.degraded_deliveries = r.U64();
-  stats.transport.retries = r.U64();
-  stats.transport.forced_resyncs = r.U64();
-  const std::uint32_t lines = r.U32();
-  if (static_cast<std::size_t>(lines) * 8 > r.remaining()) {
-    throw WireError(Status::kBadFrame,
-                    "STATS per-line count exceeds the payload");
-  }
-  stats.per_line.resize(lines);
-  for (std::uint32_t i = 0; i < lines; ++i) stats.per_line[i] = r.I64();
-  const std::uint32_t resets = r.U32();
-  if (static_cast<std::size_t>(resets) * 8 > r.remaining()) {
-    throw WireError(Status::kBadFrame,
-                    "STATS reset-point count exceeds the payload");
-  }
-  stats.reset_points.resize(resets);
-  for (std::uint32_t i = 0; i < resets; ++i) stats.reset_points[i] = r.U64();
-  if (capabilities & kCapRenegotiate) {
-    const std::uint32_t switches = r.U32();
-    // Each entry is at least 10 bytes (u64 index + empty str16); bound
-    // the count before resizing so a hostile value cannot force a huge
-    // allocation.
-    if (static_cast<std::size_t>(switches) * 10 > r.remaining()) {
-      throw WireError(Status::kBadFrame,
-                      "STATS switch-schedule count exceeds the payload");
-    }
-    stats.renegotiations.resize(switches);
-    for (std::uint32_t i = 0; i < switches; ++i) {
-      stats.renegotiations[i].index = r.U64();
-      stats.renegotiations[i].codec_name = r.Str16();
-    }
-    stats.active_codec = r.Str16();
-  }
-  r.ExpectEnd();
-  return stats;
-}
-
-std::vector<std::uint8_t> EncodeClose(const CloseRequest& request) {
-  Writer w;
-  w.U64(request.session_id);
-  return w.Take();
-}
-
-CloseRequest DecodeClose(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  CloseRequest request;
-  request.session_id = r.U64();
-  r.ExpectEnd();
-  return request;
-}
-
-std::vector<std::uint8_t> EncodeCloseOk(const CloseReply& reply) {
-  Writer w;
-  w.U64(reply.session_id);
-  return w.Take();
-}
-
-CloseReply DecodeCloseOk(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  CloseReply reply;
-  reply.session_id = r.U64();
-  r.ExpectEnd();
-  return reply;
-}
-
-std::vector<std::uint8_t> EncodeError(const ErrorReply& error) {
-  Writer w;
-  w.U16(static_cast<std::uint16_t>(error.status));
-  w.Str16(error.message);
-  return w.Take();
-}
-
-ErrorReply DecodeError(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  ErrorReply error;
-  error.status = static_cast<Status>(r.U16());
-  error.message = r.Str16();
-  r.ExpectEnd();
-  return error;
+  return Decode<SubmitStreamRequest>(payload);
 }
 
 StatsReply StatsFromReport(const service::SessionReport& report,

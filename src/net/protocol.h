@@ -148,14 +148,11 @@ class Writer {
   void U16(std::uint16_t v);
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
   void F64(double v);
   void Bytes(std::span<const std::uint8_t> bytes);
   /// u16 length + raw bytes; throws WireError if longer than 65535.
   void Str16(std::string_view text);
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> Take() { return std::move(bytes_); }
 
  private:
@@ -173,8 +170,6 @@ class Reader {
   std::uint16_t U16();
   std::uint32_t U32();
   std::uint64_t U64();
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
   double F64();
   std::string Str16();
 
@@ -209,25 +204,161 @@ std::vector<std::uint8_t> EncodeFrame(FrameType type,
 std::optional<Frame> TryExtractFrame(std::vector<std::uint8_t>& buffer,
                                      std::size_t max_frame_bytes);
 
+// ---- payload walks --------------------------------------------------
+//
+// Each payload below names its frame type (kFrame) and states its layout
+// once, as Walk(io, fields), in the field order of docs/PROTOCOL.md.
+// Encode runs the walk with Put, which appends each field; Decode runs
+// it with Get, which reads each field back. `io.caps` is the connection's
+// negotiated capabilities: a gated extension is on the wire iff its
+// capability is in force, and a field the walk skips keeps its default.
+
+/// The encode side of a walk.
+class Put {
+ public:
+  explicit Put(std::uint32_t caps = 0) : caps(caps) {}
+
+  template <typename T>
+  void U8(T v) { out_.U8(static_cast<std::uint8_t>(v)); }
+  template <typename T>
+  void U16(T v) { out_.U16(static_cast<std::uint16_t>(v)); }
+  template <typename T>
+  void U32(T v) { out_.U32(static_cast<std::uint32_t>(v)); }
+  template <typename T>
+  void U64(T v) { out_.U64(static_cast<std::uint64_t>(v)); }
+  void F64(double v) { out_.F64(v); }
+  void Str16(std::string_view text) { out_.Str16(text); }
+  void U32If(bool present, std::uint32_t v) {
+    if (present) U32(v);
+  }
+  /// u32 count, then each item's fields.
+  template <typename T, typename Each>
+  void List(const std::vector<T>& items, std::size_t, const char*,
+            Each each) {
+    U32(items.size());
+    for (const T& item : items) each(item);
+  }
+  /// SUBMIT's and SUBMIT_STREAM's body: u32 count, u64 address ×count,
+  /// u8 sel ×count — from rows, or from any pair of address and SEL
+  /// columns (a ColumnBatch, or caller-owned spans), without a copy.
+  void Columns(std::span<const BusAccess> rows);
+  void Columns(const auto& columns) {
+    U32(columns.addresses.size());
+    for (Word address : columns.addresses) U64(address);
+    out_.Bytes(columns.sel);
+  }
+
+  std::vector<std::uint8_t> Take() { return out_.Take(); }
+
+  const std::uint32_t caps;
+
+ private:
+  Writer out_;
+};
+
+/// The decode side of a walk. Every read is bounds-checked, and every
+/// count is checked against the bytes left before anything is allocated
+/// for it, so a hostile count costs one clean kBadFrame.
+class Get {
+ public:
+  Get(std::span<const std::uint8_t> bytes, std::uint32_t caps)
+      : caps(caps), in_(bytes) {}
+
+  template <typename T>
+  void U8(T& v) { v = static_cast<T>(in_.U8()); }
+  template <typename T>
+  void U16(T& v) { v = static_cast<T>(in_.U16()); }
+  template <typename T>
+  void U32(T& v) { v = static_cast<T>(in_.U32()); }
+  template <typename T>
+  void U64(T& v) { v = static_cast<T>(in_.U64()); }
+  void F64(double& v) { v = in_.F64(); }
+  void Str16(std::string& text) { text = in_.Str16(); }
+  /// An absent field decodes as 0.
+  void U32If(bool present, std::uint32_t& v) { v = present ? in_.U32() : 0; }
+  /// Each item takes at least `min_bytes`.
+  template <typename T, typename Each>
+  void List(std::vector<T>& items, std::size_t min_bytes, const char* what,
+            Each each) {
+    const std::uint32_t count = in_.U32();
+    CheckCount(count, min_bytes, what);
+    items.resize(count);
+    for (T& item : items) each(item);
+  }
+  /// The count must match the bytes left exactly (9 per access).
+  void Columns(service::ColumnBatch& columns);
+
+  void ExpectEnd() const { in_.ExpectEnd(); }
+
+  const std::uint32_t caps;
+
+ private:
+  void CheckCount(std::uint32_t count, std::size_t min_bytes,
+                  const char* what) const;
+
+  Reader in_;
+};
+
+/// A payload's bytes under the capabilities in force.
+template <typename Payload>
+std::vector<std::uint8_t> Encode(const Payload& payload,
+                                 std::uint32_t caps = 0) {
+  Put put(caps);
+  Payload::Walk(put, payload);
+  return put.Take();
+}
+
+/// Encode's inverse; throws WireError(kBadFrame) on a truncated payload,
+/// trailing bytes or a count the payload cannot hold.
+template <typename Payload>
+Payload Decode(std::span<const std::uint8_t> bytes, std::uint32_t caps = 0) {
+  Get get(bytes, caps);
+  Payload payload;
+  Payload::Walk(get, payload);
+  get.ExpectEnd();
+  return payload;
+}
+
+/// A payload wrapped in its own frame.
+template <typename Payload>
+std::vector<std::uint8_t> EncodeFrame(const Payload& payload,
+                                      std::uint32_t caps = 0) {
+  return EncodeFrame(Payload::kFrame, Encode(payload, caps));
+}
+
 // ---- typed payloads -------------------------------------------------
 
 struct HelloRequest {
+  static constexpr FrameType kFrame = FrameType::kHello;
   std::uint32_t magic = kHelloMagic;
   std::uint16_t version_min = kProtocolVersionMin;
   std::uint16_t version_max = kProtocolVersion;
-  /// v2+: capability bits offered by the client. Encoded only when
-  /// version_max >= 2 (a v1 HELLO is byte-identical to PR 9); decoded
-  /// as 0 when absent, so v1 clients implicitly offer nothing.
+  /// v2+: capability bits offered by the client, on the wire iff
+  /// version_max >= 2, so a v1 HELLO keeps the v1 layout and offers
+  /// nothing.
   std::uint32_t capabilities = kDefaultCapabilities;
+
+  static void Walk(auto& io, auto& m) {
+    io.U32(m.magic);
+    io.U16(m.version_min);
+    io.U16(m.version_max);
+    io.U32If(m.version_max >= 2, m.capabilities);
+  }
 };
 
 struct HelloReply {
+  static constexpr FrameType kFrame = FrameType::kHelloOk;
   std::uint16_t version = kProtocolVersion;
   std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Capabilities in force: client ∩ server. Present on the wire only
-  /// when the negotiated `version` >= 2 — the layout is self-describing
-  /// and a v1 HELLO_OK stays byte-identical to PR 9.
+  /// Capabilities in force: client ∩ server, on the wire iff the
+  /// negotiated `version` >= 2, so a v1 HELLO_OK keeps the v1 layout.
   std::uint32_t capabilities = 0;
+
+  static void Walk(auto& io, auto& m) {
+    io.U16(m.version);
+    io.U64(m.max_frame_bytes);
+    io.U32If(m.version >= 2, m.capabilities);
+  }
 };
 
 /// Codec + palette negotiation plus the session's robustness knobs —
@@ -236,6 +367,7 @@ struct HelloReply {
 /// deterministic channel fault installer (net_soak); production servers
 /// reject a nonzero seed with kBadConfig.
 struct OpenRequest {
+  static constexpr FrameType kFrame = FrameType::kOpen;
   std::string codec = "t0";
   std::uint16_t width = 32;
   std::uint64_t stride = 4;
@@ -248,20 +380,48 @@ struct OpenRequest {
   std::int64_t adaptive_hysteresis = 16;
   std::string adaptive_palette;  // comma-separated; empty = default
   std::uint64_t fault_seed = 0;
+
+  static void Walk(auto& io, auto& m) {
+    io.U16(m.width);
+    io.U64(m.stride);
+    io.U8(m.protection);
+    io.U64(m.queue_capacity);
+    io.U64(m.slowdown_watermark);
+    io.U32(m.max_retries);
+    io.U64(m.access_budget);
+    io.U64(m.adaptive_window);
+    io.U64(m.adaptive_hysteresis);
+    io.U64(m.fault_seed);
+    io.Str16(m.codec);
+    io.Str16(m.adaptive_palette);
+  }
 };
 
 struct OpenReply {
+  static constexpr FrameType kFrame = FrameType::kOpenOk;
   std::uint64_t session_id = 0;
   /// Capability for ATTACH after a disconnect; issued once at OPEN.
   std::uint64_t token = 0;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U64(m.token);
+  }
 };
 
 struct AttachRequest {
+  static constexpr FrameType kFrame = FrameType::kAttach;
   std::uint64_t session_id = 0;
   std::uint64_t token = 0;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U64(m.token);
+  }
 };
 
 struct AttachReply {
+  static constexpr FrameType kFrame = FrameType::kAttachOk;
   std::uint64_t session_id = 0;
   /// Accesses admitted over the session's lifetime — the resume point
   /// for exactly-once submission after a disconnect.
@@ -272,14 +432,32 @@ struct AttachReply {
   /// schedule arrives with STATS).
   std::uint32_t renegotiations = 0;
   std::string active_codec;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U64(m.accepted);
+    if (io.caps & kCapRenegotiate) {
+      io.U32(m.renegotiations);
+      io.Str16(m.active_codec);
+    }
+  }
 };
 
+/// v1 SUBMIT. Its columns decode straight into the batch the server
+/// queues; a client encodes them from rows with EncodeSubmit.
 struct SubmitRequest {
+  static constexpr FrameType kFrame = FrameType::kSubmit;
   std::uint64_t session_id = 0;
-  std::vector<BusAccess> batch;
+  service::ColumnBatch columns;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.Columns(m.columns);
+  }
 };
 
 struct SubmitAck {
+  static constexpr FrameType kFrame = FrameType::kSubmitAck;
   std::uint64_t session_id = 0;
   Status status = Status::kOk;
   std::uint64_t accepted = 0;  // lifetime admitted-access count
@@ -287,6 +465,13 @@ struct SubmitAck {
   /// this session's observed traffic ("" = no proposal). Advisory — the
   /// client switches only by sending RENEGOTIATE.
   std::string recommended_codec;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U16(m.status);
+    io.U64(m.accepted);
+    if (io.caps & kCapRenegotiate) io.Str16(m.recommended_codec);
+  }
 };
 
 /// v2 kCapPipeline: the streaming bulk-transfer frame. Columnar like
@@ -298,10 +483,18 @@ struct SubmitAck {
 /// the verdict is not kOk, so a bulk replay pays one ack per window, not
 /// per frame.
 struct SubmitStreamRequest {
+  static constexpr FrameType kFrame = FrameType::kSubmitStream;
   std::uint64_t session_id = 0;
   std::uint64_t offset = 0;
   bool want_ack = false;
   service::ColumnBatch columns;  // decoded straight off the wire
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U64(m.offset);
+    io.U8(m.want_ack);
+    io.Columns(m.columns);
+  }
 };
 
 /// v2 kCapRenegotiate: request a codec switch for an attached session.
@@ -309,30 +502,50 @@ struct SubmitStreamRequest {
 /// its palette. Refusals are answered with ERROR (kRenegotiateRefused /
 /// kBadConfig), success with RENEGOTIATE_ACK.
 struct RenegotiateRequest {
+  static constexpr FrameType kFrame = FrameType::kRenegotiate;
   std::uint64_t session_id = 0;
   std::string codec;  // "" = server policy's choice
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.Str16(m.codec);
+  }
 };
 
 struct RenegotiateReply {
+  static constexpr FrameType kFrame = FrameType::kRenegotiateAck;
   std::uint64_t session_id = 0;
   /// Lifetime admitted-access index the switch is pinned to — the exact
   /// contract of the adaptive codec's ESC line: both ends replay the
   /// decision from this index alone.
   std::uint64_t switch_index = 0;
   std::string codec;  // the codec that will be active from switch_index
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U64(m.switch_index);
+    io.Str16(m.codec);
+  }
 };
 
 struct DrainStatsRequest {
+  static constexpr FrameType kFrame = FrameType::kDrainStats;
   std::uint64_t session_id = 0;
   /// When set the server defers the STATS reply until the session's
   /// queue is empty and every popped batch has been processed, so the
   /// snapshot is complete (Session::Report's quiescence caveat).
   bool wait_drained = false;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U8(m.wait_drained);
+  }
 };
 
 /// The full server-side accounting of one session — enough for a client
 /// to recompute the serial EvaluateWithSchedule oracle bit-for-bit.
 struct StatsReply {
+  static constexpr FrameType kFrame = FrameType::kStats;
   std::uint64_t session_id = 0;
   std::uint8_t state = 0;  // 0 active, 1 evicted
   bool input_closed = false;
@@ -354,90 +567,77 @@ struct StatsReply {
   /// replay EvaluateWithSchedule bit-for-bit.
   std::vector<CodecSwitchPoint> renegotiations;
   std::string active_codec;
+
+  static void Walk(auto& io, auto& m) {
+    io.U64(m.session_id);
+    io.U8(m.state);
+    io.U8(m.input_closed);
+    io.U8(m.degraded);
+    io.U64(m.accepted);
+    io.U64(m.stream_length);
+    io.U64(m.transitions);
+    io.U32(m.peak_transitions);
+    io.F64(m.in_sequence_percent);
+    io.U64(m.readmissions);
+    io.U64(m.rejected_batches);
+    io.U64(m.peak_queue_depth);
+    io.U64(m.transport.transfers);
+    io.U64(m.transport.clean);
+    io.U64(m.transport.corrected);
+    io.U64(m.transport.recovered);
+    io.U64(m.transport.degraded_deliveries);
+    io.U64(m.transport.retries);
+    io.U64(m.transport.forced_resyncs);
+    io.List(m.per_line, 8, "per-line", [&](auto& n) { io.U64(n); });
+    io.List(m.reset_points, 8, "reset-point", [&](auto& at) { io.U64(at); });
+    if (io.caps & kCapRenegotiate) {
+      // An entry is at least a u64 index and an empty str16.
+      io.List(m.renegotiations, 10, "switch-schedule", [&](auto& point) {
+        io.U64(point.index);
+        io.Str16(point.codec_name);
+      });
+      io.Str16(m.active_codec);
+    }
+  }
 };
 
 struct CloseRequest {
+  static constexpr FrameType kFrame = FrameType::kClose;
   std::uint64_t session_id = 0;
+
+  static void Walk(auto& io, auto& m) { io.U64(m.session_id); }
 };
 
 struct CloseReply {
+  static constexpr FrameType kFrame = FrameType::kCloseOk;
   std::uint64_t session_id = 0;
+
+  static void Walk(auto& io, auto& m) { io.U64(m.session_id); }
 };
 
 struct ErrorReply {
+  static constexpr FrameType kFrame = FrameType::kError;
   Status status = Status::kInternal;
   std::string message;
+
+  static void Walk(auto& io, auto& m) {
+    io.U16(m.status);
+    io.Str16(m.message);
+  }
 };
 
-std::vector<std::uint8_t> EncodeHello(const HelloRequest& hello);
-HelloRequest DecodeHello(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeHelloOk(const HelloReply& reply);
-HelloReply DecodeHelloOk(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeOpen(const OpenRequest& open);
-OpenRequest DecodeOpen(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeOpenOk(const OpenReply& reply);
-OpenReply DecodeOpenOk(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeAttach(const AttachRequest& attach);
-AttachRequest DecodeAttach(std::span<const std::uint8_t> payload);
-
-// ATTACH_OK, SUBMIT_ACK and STATS carry kCapRenegotiate-gated trailing
-// fields; encoder and decoder must agree on the connection's negotiated
-// capabilities (strict both ways: the extension is present iff the
-// capability is in force — ExpectEnd still rejects any other shape).
-std::vector<std::uint8_t> EncodeAttachOk(const AttachReply& reply,
-                                         std::uint32_t capabilities = 0);
-AttachReply DecodeAttachOk(std::span<const std::uint8_t> payload,
-                           std::uint32_t capabilities = 0);
-
+/// SUBMIT's walk over rows, and SUBMIT_STREAM's over caller-owned columns
+/// (e.g. a ViewColumns slice of an mmap-backed `.ctrace`): a client sends
+/// either without building a ColumnBatch.
 std::vector<std::uint8_t> EncodeSubmit(std::uint64_t session_id,
-                                       std::span<const BusAccess> batch);
-SubmitRequest DecodeSubmit(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeSubmitAck(const SubmitAck& ack,
-                                          std::uint32_t capabilities = 0);
-SubmitAck DecodeSubmitAck(std::span<const std::uint8_t> payload,
-                          std::uint32_t capabilities = 0);
-
-std::vector<std::uint8_t> EncodeSubmitStream(const SubmitStreamRequest& request);
-/// Pointer-column overload: encodes straight from caller-owned columns
-/// (e.g. a ViewColumns slice of an mmap-backed `.ctrace`), so a bulk
-/// replay never materializes a ColumnBatch per frame.
+                                       std::span<const BusAccess> rows);
 std::vector<std::uint8_t> EncodeSubmitStream(std::uint64_t session_id,
                                              std::uint64_t offset,
                                              bool want_ack,
                                              const Word* addresses,
                                              const std::uint8_t* sel,
                                              std::size_t count);
-/// Decodes the columns by bulk move into the returned ColumnBatch — the
-/// zero-copy entry into Session::SubmitColumns.
 SubmitStreamRequest DecodeSubmitStream(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeRenegotiate(const RenegotiateRequest& request);
-RenegotiateRequest DecodeRenegotiate(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeRenegotiateAck(const RenegotiateReply& reply);
-RenegotiateReply DecodeRenegotiateAck(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeDrainStats(const DrainStatsRequest& request);
-DrainStatsRequest DecodeDrainStats(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeStats(const StatsReply& stats,
-                                      std::uint32_t capabilities = 0);
-StatsReply DecodeStats(std::span<const std::uint8_t> payload,
-                       std::uint32_t capabilities = 0);
-
-std::vector<std::uint8_t> EncodeClose(const CloseRequest& request);
-CloseRequest DecodeClose(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeCloseOk(const CloseReply& reply);
-CloseReply DecodeCloseOk(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> EncodeError(const ErrorReply& error);
-ErrorReply DecodeError(std::span<const std::uint8_t> payload);
 
 /// Build a STATS payload from a session report (server side).
 StatsReply StatsFromReport(const service::SessionReport& report,

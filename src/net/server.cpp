@@ -97,15 +97,10 @@ class Server::Loop {
     ServerStats s;
     s.connections_accepted =
         connections_accepted_.load(std::memory_order_relaxed);
-    s.connections_dropped =
-        connections_dropped_.load(std::memory_order_relaxed);
     s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
     s.timeouts = timeouts_.load(std::memory_order_relaxed);
     s.frames_received = frames_received_.load(std::memory_order_relaxed);
     s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-    s.submitted_accesses =
-        submitted_accesses_.load(std::memory_order_relaxed);
-    s.renegotiations = renegotiations_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -277,7 +272,7 @@ class Server::Loop {
         throw WireError(Status::kBadFrame,
                         FrameTypeName(frame.type) + " before HELLO");
       }
-      const HelloRequest hello = DecodeHello(frame.payload);
+      const HelloRequest hello = Decode<HelloRequest>(frame.payload);
       if (hello.magic != kHelloMagic) {
         SendError(conn, Status::kBadMagic,
                   "HELLO magic mismatch (not an abenc client?)");
@@ -303,27 +298,36 @@ class Server::Loop {
       conn.caps = conn.version >= 2
                       ? (hello.capabilities & config_.capabilities)
                       : 0;
-      HelloReply reply;
-      reply.version = conn.version;
-      reply.max_frame_bytes = config_.max_frame_bytes;
-      reply.capabilities = conn.caps;
-      SendFrame(conn, FrameType::kHelloOk, EncodeHelloOk(reply));
+      Send(conn, HelloReply{.version = conn.version,
+                            .max_frame_bytes = config_.max_frame_bytes,
+                            .capabilities = conn.caps});
       return;
     }
     switch (frame.type) {
       case FrameType::kOpen:       HandleOpen(conn, frame); return;
       case FrameType::kAttach:     HandleAttach(conn, frame); return;
-      case FrameType::kSubmit:     HandleSubmit(conn, frame); return;
+      case FrameType::kSubmit: {
+        // A v1 SUBMIT is a SUBMIT_STREAM at the server's own count,
+        // always acked.
+        SubmitRequest request = Decode<SubmitRequest>(frame.payload);
+        Admit(conn, request.session_id, std::nullopt, true,
+              std::move(request.columns));
+        return;
+      }
       case FrameType::kDrainStats: HandleDrainStats(conn, frame); return;
       case FrameType::kClose:      HandleClose(conn, frame); return;
       case FrameType::kRenegotiate:
         RequireCap(conn, kCapRenegotiate, "RENEGOTIATE");
         HandleRenegotiate(conn, frame);
         return;
-      case FrameType::kSubmitStream:
+      case FrameType::kSubmitStream: {
         RequireCap(conn, kCapPipeline, "SUBMIT_STREAM");
-        HandleSubmitStream(conn, frame);
+        SubmitStreamRequest request =
+            Decode<SubmitStreamRequest>(frame.payload);
+        Admit(conn, request.session_id, request.offset, request.want_ack,
+              std::move(request.columns));
         return;
+      }
       case FrameType::kHello:
         throw WireError(Status::kBadFrame, "repeated HELLO");
       default:
@@ -345,7 +349,7 @@ class Server::Loop {
   }
 
   void HandleOpen(Conn& conn, const Frame& frame) {
-    const OpenRequest open = DecodeOpen(frame.payload);
+    const OpenRequest open = Decode<OpenRequest>(frame.payload);
     service::SessionConfig session = config_.service.session;
     session.codec_name = open.codec;
     session.codec_options.width = open.width;
@@ -392,14 +396,11 @@ class Server::Loop {
     slot.attached_fd = conn.fd;
     sessions_.emplace(id, slot);
     conn.sessions.insert(id);
-    OpenReply reply;
-    reply.session_id = id;
-    reply.token = slot.token;
-    SendFrame(conn, FrameType::kOpenOk, EncodeOpenOk(reply));
+    Send(conn, OpenReply{.session_id = id, .token = slot.token});
   }
 
   void HandleAttach(Conn& conn, const Frame& frame) {
-    const AttachRequest attach = DecodeAttach(frame.payload);
+    const AttachRequest attach = Decode<AttachRequest>(frame.payload);
     auto it = sessions_.find(attach.session_id);
     if (it == sessions_.end()) {
       SendError(conn, Status::kUnknownSession,
@@ -445,8 +446,7 @@ class Server::Loop {
           static_cast<std::uint32_t>(report.renegotiations.size());
       reply.active_codec = report.active_codec;
     }
-    SendFrame(conn, FrameType::kAttachOk,
-              EncodeAttachOk(reply, conn.caps));
+    Send(conn, reply);
   }
 
   /// Shared SUBMIT/DRAIN_STATS/CLOSE precondition: the session exists
@@ -468,56 +468,45 @@ class Server::Loop {
     return &it->second;
   }
 
-  void HandleSubmit(Conn& conn, const Frame& frame) {
-    const SubmitRequest request = DecodeSubmit(frame.payload);
-    SessionSlot* slot = RequireAttached(conn, request.session_id);
+  /// The one admission path, for SUBMIT and kCapPipeline's
+  /// SUBMIT_STREAM. The offset guard makes in-flight rejection safe — a
+  /// frame whose expected lifetime admitted count disagrees with the
+  /// server's is rejected whole (an earlier pipelined frame must have
+  /// been rejected), so a rejection can never punch a gap into the
+  /// admitted stream. A SUBMIT carries no offset: it is admitted at the
+  /// server's own count.
+  void Admit(Conn& conn, std::uint64_t session_id,
+             std::optional<std::uint64_t> offset, bool want_ack,
+             service::ColumnBatch&& columns) {
+    SessionSlot* slot = RequireAttached(conn, session_id);
     if (slot == nullptr) return;
-    const service::Admission admission =
-        service_.Submit(request.session_id, request.batch);
-    if (admission == service::Admission::kAccepted ||
-        admission == service::Admission::kSlowDown) {
-      slot->accepted += request.batch.size();
-      submitted_accesses_.fetch_add(request.batch.size(),
-                                    std::memory_order_relaxed);
-    }
-    SendSubmitAck(conn, request.session_id, AdmissionToStatus(admission),
-                  slot->accepted);
-  }
-
-  /// kCapPipeline: the streaming/pipelined submission path. The offset
-  /// guard makes in-flight rejection safe — a frame whose expected
-  /// lifetime admitted count disagrees with the server's is rejected
-  /// whole (an earlier pipelined frame must have been rejected), so a
-  /// rejection can never punch a gap into the admitted stream.
-  void HandleSubmitStream(Conn& conn, const Frame& frame) {
-    SubmitStreamRequest request = DecodeSubmitStream(frame.payload);
-    SessionSlot* slot = RequireAttached(conn, request.session_id);
-    if (slot == nullptr) return;
-    const std::size_t count = request.columns.size();
-    Status status;
-    if (request.offset != slot->accepted) {
-      status = Status::kRejected;  // stale offset: nothing queued
-    } else {
-      const service::Admission admission = service_.SubmitColumns(
-          request.session_id, std::move(request.columns));
-      status = AdmissionToStatus(admission);
-      if (admission == service::Admission::kAccepted ||
-          admission == service::Admission::kSlowDown) {
+    const std::size_t count = columns.size();
+    Status status = Status::kRejected;  // stale offset: nothing queued
+    if (offset.value_or(slot->accepted) == slot->accepted) {
+      status = AdmissionToStatus(
+          service_.SubmitColumns(session_id, std::move(columns)));
+      if (status == Status::kOk || status == Status::kSlowDown) {
         slot->accepted += count;
-        submitted_accesses_.fetch_add(count, std::memory_order_relaxed);
       }
     }
     // One ack per requested window; any non-kOk verdict is always acked
     // so the sender can rewind from the authoritative count.
-    if (request.want_ack || status != Status::kOk) {
-      SendSubmitAck(conn, request.session_id, status, slot->accepted);
+    if (want_ack || status != Status::kOk) {
+      Send(conn, SubmitAck{.session_id = session_id,
+                           .status = status,
+                           .accepted = slot->accepted,
+                           .recommended_codec =
+                               (conn.caps & kCapRenegotiate) != 0
+                                   ? Recommendation(session_id)
+                                   : ""});
     }
   }
 
   /// kCapRenegotiate: switch an attached session's codec, pinned to the
   /// lifetime admitted index. An empty codec asks the server policy.
   void HandleRenegotiate(Conn& conn, const Frame& frame) {
-    const RenegotiateRequest request = DecodeRenegotiate(frame.payload);
+    const RenegotiateRequest request =
+        Decode<RenegotiateRequest>(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
     std::string codec = request.codec;
@@ -542,26 +531,9 @@ class Server::Loop {
                     service::RenegotiateStatusName(outcome.status));
       return;
     }
-    renegotiations_.fetch_add(1, std::memory_order_relaxed);
-    RenegotiateReply reply;
-    reply.session_id = request.session_id;
-    reply.switch_index = outcome.switch_index;
-    reply.codec = outcome.codec_name;
-    SendFrame(conn, FrameType::kRenegotiateAck,
-              EncodeRenegotiateAck(reply));
-  }
-
-  void SendSubmitAck(Conn& conn, std::uint64_t session_id, Status status,
-                     std::uint64_t accepted) {
-    SubmitAck ack;
-    ack.session_id = session_id;
-    ack.status = status;
-    ack.accepted = accepted;
-    if ((conn.caps & kCapRenegotiate) != 0) {
-      ack.recommended_codec = Recommendation(session_id);
-    }
-    SendFrame(conn, FrameType::kSubmitAck,
-              EncodeSubmitAck(ack, conn.caps));
+    Send(conn, RenegotiateReply{.session_id = request.session_id,
+                                .switch_index = outcome.switch_index,
+                                .codec = outcome.codec_name});
   }
 
   /// The policy's advisory proposal for a session, or "" when the drain
@@ -584,7 +556,8 @@ class Server::Loop {
   /// once — after any earlier deferred replies for it, which that
   /// quiescence satisfies too, so replies keep request order.
   void HandleDrainStats(Conn& conn, const Frame& frame) {
-    const DrainStatsRequest request = DecodeDrainStats(frame.payload);
+    const DrainStatsRequest request =
+        Decode<DrainStatsRequest>(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
     if (request.wait_drained) {
@@ -598,21 +571,16 @@ class Server::Loop {
   }
 
   void HandleClose(Conn& conn, const Frame& frame) {
-    const CloseRequest request = DecodeClose(frame.payload);
+    const CloseRequest request = Decode<CloseRequest>(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
     service_.CloseSession(request.session_id);
-    CloseReply reply;
-    reply.session_id = request.session_id;
-    SendFrame(conn, FrameType::kCloseOk, EncodeCloseOk(reply));
+    Send(conn, CloseReply{.session_id = request.session_id});
   }
 
   void SendStats(Conn& conn, std::uint64_t session_id,
                  const SessionSlot& slot) {
-    const service::SessionReport report = service_.Report(session_id);
-    SendFrame(conn, FrameType::kStats,
-              EncodeStats(StatsFromReport(report, slot.accepted),
-                          conn.caps));
+    Send(conn, StatsFromReport(service_.Report(session_id), slot.accepted));
   }
 
   /// Answer every deferred DRAIN_STATS `conn` holds for `id`.
@@ -657,17 +625,16 @@ class Server::Loop {
   }
 
   void SendError(Conn& conn, Status status, const std::string& message) {
-    ErrorReply error;
-    error.status = status;
-    error.message = message;
-    SendFrame(conn, FrameType::kError, EncodeError(error));
+    Send(conn, ErrorReply{.status = status, .message = message});
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     if (StatusIsFatal(status)) conn.close_after_flush = true;
   }
 
-  void SendFrame(Conn& conn, FrameType type,
-                 const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> bytes = EncodeFrame(type, payload);
+  /// Frame `payload` under the connection's capabilities and flush.
+  template <typename Payload>
+  void Send(Conn& conn, const Payload& payload) {
+    const std::vector<std::uint8_t> bytes =
+        EncodeFrame(payload, conn.caps);
     conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
     FlushOut(conn);
@@ -702,7 +669,6 @@ class Server::Loop {
     }
     CloseFd(it->second.fd);
     conns_.erase(it);
-    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 
   const ServerConfig& config_;
@@ -725,13 +691,10 @@ class Server::Loop {
 
   // Counters (read from other threads via stats()).
   std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_dropped_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> submitted_accesses_{0};
-  std::atomic<std::uint64_t> renegotiations_{0};
 };
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {

@@ -7,7 +7,9 @@
 //    dispatch and replies all happen there, so connection state needs no
 //    locks. The CPU-heavy work (draining sessions, encoding, transport
 //    recovery) stays on the service's own shard thread pool; the loop
-//    only enqueues via Session::Submit and snapshots via Report().
+//    only enqueues decoded column batches (EncodingService::SubmitColumns,
+//    one admission path for SUBMIT and SUBMIT_STREAM) and snapshots via
+//    Report().
 //  - The loop wakes on work, never on a tick: poll() sleeps until a
 //    socket or the wake pipe is ready or the earliest connection
 //    deadline passes. A DRAIN_STATS that must wait for quiescence arms
@@ -80,13 +82,10 @@ struct ServerConfig {
 /// Loop-thread counters, readable from any thread.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_dropped = 0;  // all causes
-  std::uint64_t protocol_errors = 0;      // ERROR frames sent
-  std::uint64_t timeouts = 0;             // read/write timeout drops
+  std::uint64_t protocol_errors = 0;  // ERROR frames sent
+  std::uint64_t timeouts = 0;         // read/write timeout drops
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
-  std::uint64_t submitted_accesses = 0;   // admitted into session queues
-  std::uint64_t renegotiations = 0;       // RENEGOTIATE_ACKs sent
 };
 
 class Server {

@@ -34,7 +34,7 @@ TEST(NetProtocolTest, HelloRoundTrip) {
   HelloRequest hello;
   hello.version_min = 1;
   hello.version_max = 7;
-  const HelloRequest decoded = DecodeHello(EncodeHello(hello));
+  const HelloRequest decoded = Decode<HelloRequest>(Encode(hello));
   EXPECT_EQ(decoded.magic, kHelloMagic);
   EXPECT_EQ(decoded.version_min, 1);
   EXPECT_EQ(decoded.version_max, 7);
@@ -54,7 +54,7 @@ TEST(NetProtocolTest, OpenRoundTripCarriesEveryKnob) {
   open.adaptive_hysteresis = -4;
   open.adaptive_palette = "t0,gray";
   open.fault_seed = 0xDEADBEEFull;
-  const OpenRequest decoded = DecodeOpen(EncodeOpen(open));
+  const OpenRequest decoded = Decode<OpenRequest>(Encode(open));
   EXPECT_EQ(decoded.codec, "dual-t0-bi");
   EXPECT_EQ(decoded.width, 24);
   EXPECT_EQ(decoded.stride, 8u);
@@ -75,12 +75,13 @@ TEST(NetProtocolTest, SubmitRoundTripPreservesAddressesAndSel) {
     batch.push_back({static_cast<Word>(0x1000 + i * 4), (i % 3) != 0});
   }
   const SubmitRequest decoded =
-      DecodeSubmit(EncodeSubmit(42, batch));
+      Decode<SubmitRequest>(EncodeSubmit(42, batch));
   EXPECT_EQ(decoded.session_id, 42u);
-  ASSERT_EQ(decoded.batch.size(), batch.size());
+  ASSERT_EQ(decoded.columns.size(), batch.size());
+  ASSERT_EQ(decoded.columns.sel.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(decoded.batch[i].address, batch[i].address);
-    EXPECT_EQ(decoded.batch[i].sel, batch[i].sel);
+    EXPECT_EQ(decoded.columns.addresses[i], batch[i].address);
+    EXPECT_EQ(decoded.columns.sel[i], batch[i].sel ? 1 : 0);
   }
 }
 
@@ -107,7 +108,7 @@ TEST(NetProtocolTest, StatsRoundTripCarriesFullAccounting) {
   stats.readmissions = 2;
   stats.rejected_batches = 5;
   stats.peak_queue_depth = 200;
-  const StatsReply decoded = DecodeStats(EncodeStats(stats));
+  const StatsReply decoded = Decode<StatsReply>(Encode(stats));
   EXPECT_EQ(decoded.session_id, 7u);
   EXPECT_EQ(decoded.state, 1);
   EXPECT_TRUE(decoded.input_closed);
@@ -131,19 +132,19 @@ TEST(NetProtocolTest, StatsRoundTripCarriesFullAccounting) {
 }
 
 TEST(NetProtocolTest, TruncatedPayloadThrowsNotHalfApplies) {
-  const std::vector<std::uint8_t> full = EncodeOpen(OpenRequest{});
+  const std::vector<std::uint8_t> full = Encode(OpenRequest{});
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     const std::vector<std::uint8_t> torn(full.begin(),
                                          full.begin() + cut);
-    EXPECT_THROW(DecodeOpen(torn), WireError) << "cut at " << cut;
+    EXPECT_THROW(Decode<OpenRequest>(torn), WireError) << "cut at " << cut;
   }
 }
 
 TEST(NetProtocolTest, TrailingBytesRejected) {
-  std::vector<std::uint8_t> bytes = EncodeClose(CloseRequest{});
+  std::vector<std::uint8_t> bytes = Encode(CloseRequest{});
   bytes.push_back(0xAB);
   try {
-    DecodeClose(bytes);
+    Decode<CloseRequest>(bytes);
     FAIL() << "trailing byte not rejected";
   } catch (const WireError& e) {
     EXPECT_EQ(e.status(), Status::kBadFrame);
@@ -158,14 +159,12 @@ TEST(NetProtocolTest, SubmitCountMismatchRejected) {
   writer.U32(1000);  // claimed count
   writer.U64(0);     // one address...
   writer.U8(1);
-  EXPECT_THROW(DecodeSubmit(writer.Take()), WireError);
+  EXPECT_THROW(Decode<SubmitRequest>(writer.Take()), WireError);
 }
 
 TEST(NetProtocolTest, FrameExtractionHandlesSplitAndBackToBack) {
-  const std::vector<std::uint8_t> a =
-      EncodeFrame(FrameType::kClose, EncodeClose(CloseRequest{}));
-  const std::vector<std::uint8_t> b =
-      EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{}));
+  const std::vector<std::uint8_t> a = EncodeFrame(CloseRequest{});
+  const std::vector<std::uint8_t> b = EncodeFrame(HelloRequest{});
   std::vector<std::uint8_t> buffer;
   // Feed a byte at a time: no frame until the last byte of `a`.
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -291,7 +290,7 @@ TEST(NetProtocolTest, RenegotiateFramesRoundTrip) {
   request.session_id = 99;
   request.codec = "bus-invert";
   const RenegotiateRequest decoded_request =
-      DecodeRenegotiate(EncodeRenegotiate(request));
+      Decode<RenegotiateRequest>(Encode(request));
   EXPECT_EQ(decoded_request.session_id, 99u);
   EXPECT_EQ(decoded_request.codec, "bus-invert");
 
@@ -300,16 +299,16 @@ TEST(NetProtocolTest, RenegotiateFramesRoundTrip) {
   reply.switch_index = 12345;
   reply.codec = "gray";
   const RenegotiateReply decoded_reply =
-      DecodeRenegotiateAck(EncodeRenegotiateAck(reply));
+      Decode<RenegotiateReply>(Encode(reply));
   EXPECT_EQ(decoded_reply.session_id, 99u);
   EXPECT_EQ(decoded_reply.switch_index, 12345u);
   EXPECT_EQ(decoded_reply.codec, "gray");
 
   // Truncation at every cut: throws, never half-applies.
-  const std::vector<std::uint8_t> full = EncodeRenegotiateAck(reply);
+  const std::vector<std::uint8_t> full = Encode(reply);
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     const std::vector<std::uint8_t> torn(full.begin(), full.begin() + cut);
-    EXPECT_THROW(DecodeRenegotiateAck(torn), WireError) << "cut " << cut;
+    EXPECT_THROW(Decode<RenegotiateReply>(torn), WireError) << "cut " << cut;
   }
 }
 
@@ -323,7 +322,7 @@ TEST(NetProtocolTest, SubmitStreamRoundTripAndCountGuard) {
     request.columns.sel.push_back(i % 2);
   }
   const SubmitStreamRequest decoded =
-      DecodeSubmitStream(EncodeSubmitStream(request));
+      DecodeSubmitStream(Encode(request));
   EXPECT_EQ(decoded.session_id, 7u);
   EXPECT_EQ(decoded.offset, 512u);
   EXPECT_TRUE(decoded.want_ack);
@@ -348,18 +347,18 @@ TEST(NetProtocolTest, CapabilityGatedExtensionsAreSelfConsistent) {
   HelloRequest v1;
   v1.version_max = 1;
   v1.capabilities = kDefaultCapabilities;  // must NOT be encoded
-  const HelloRequest v1_decoded = DecodeHello(EncodeHello(v1));
+  const HelloRequest v1_decoded = Decode<HelloRequest>(Encode(v1));
   EXPECT_EQ(v1_decoded.capabilities, 0u);
   HelloRequest v2;
   v2.capabilities = kCapRenegotiate;
-  EXPECT_EQ(DecodeHello(EncodeHello(v2)).capabilities, kCapRenegotiate);
+  EXPECT_EQ(Decode<HelloRequest>(Encode(v2)).capabilities, kCapRenegotiate);
 
   HelloReply ok;
   ok.version = 1;
   ok.capabilities = kDefaultCapabilities;
-  EXPECT_EQ(DecodeHelloOk(EncodeHelloOk(ok)).capabilities, 0u);
+  EXPECT_EQ(Decode<HelloReply>(Encode(ok)).capabilities, 0u);
   ok.version = kProtocolVersion;
-  EXPECT_EQ(DecodeHelloOk(EncodeHelloOk(ok)).capabilities,
+  EXPECT_EQ(Decode<HelloReply>(Encode(ok)).capabilities,
             kDefaultCapabilities);
 
   // ATTACH_OK / SUBMIT_ACK / STATS grow trailing fields only under
@@ -369,13 +368,12 @@ TEST(NetProtocolTest, CapabilityGatedExtensionsAreSelfConsistent) {
   attach.accepted = 77;
   attach.renegotiations = 2;
   attach.active_codec = "gray";
-  const AttachReply bare =
-      DecodeAttachOk(EncodeAttachOk(attach, 0), 0);
+  const AttachReply bare = Decode<AttachReply>(Encode(attach, 0), 0);
   EXPECT_EQ(bare.accepted, 77u);
   EXPECT_EQ(bare.renegotiations, 0u);
   EXPECT_TRUE(bare.active_codec.empty());
-  const AttachReply extended = DecodeAttachOk(
-      EncodeAttachOk(attach, kCapRenegotiate), kCapRenegotiate);
+  const AttachReply extended = Decode<AttachReply>(
+      Encode(attach, kCapRenegotiate), kCapRenegotiate);
   EXPECT_EQ(extended.renegotiations, 2u);
   EXPECT_EQ(extended.active_codec, "gray");
 
@@ -383,10 +381,9 @@ TEST(NetProtocolTest, CapabilityGatedExtensionsAreSelfConsistent) {
   ack.session_id = 3;
   ack.accepted = 9;
   ack.recommended_codec = "t0";
-  EXPECT_TRUE(DecodeSubmitAck(EncodeSubmitAck(ack, 0), 0)
-                  .recommended_codec.empty());
-  EXPECT_EQ(DecodeSubmitAck(EncodeSubmitAck(ack, kCapRenegotiate),
-                            kCapRenegotiate)
+  EXPECT_TRUE(
+      Decode<SubmitAck>(Encode(ack, 0), 0).recommended_codec.empty());
+  EXPECT_EQ(Decode<SubmitAck>(Encode(ack, kCapRenegotiate), kCapRenegotiate)
                 .recommended_codec,
             "t0");
 
@@ -394,19 +391,51 @@ TEST(NetProtocolTest, CapabilityGatedExtensionsAreSelfConsistent) {
   stats.session_id = 3;
   stats.renegotiations = {{64, "gray"}, {128, "bus-invert"}};
   stats.active_codec = "bus-invert";
-  const StatsReply stats_bare = DecodeStats(EncodeStats(stats, 0), 0);
+  const StatsReply stats_bare = Decode<StatsReply>(Encode(stats, 0), 0);
   EXPECT_TRUE(stats_bare.renegotiations.empty());
-  const StatsReply stats_extended = DecodeStats(
-      EncodeStats(stats, kCapRenegotiate), kCapRenegotiate);
+  const StatsReply stats_extended = Decode<StatsReply>(
+      Encode(stats, kCapRenegotiate), kCapRenegotiate);
   EXPECT_EQ(stats_extended.renegotiations, stats.renegotiations);
   EXPECT_EQ(stats_extended.active_codec, "bus-invert");
 
   // Caps mismatch (extension bytes present but decoder not expecting
   // them, or vice versa) is a hard kBadFrame, not a silent skew.
-  EXPECT_THROW(DecodeAttachOk(EncodeAttachOk(attach, kCapRenegotiate), 0),
+  EXPECT_THROW(Decode<AttachReply>(Encode(attach, kCapRenegotiate), 0),
                WireError);
-  EXPECT_THROW(
-      DecodeStats(EncodeStats(stats, 0), kCapRenegotiate), WireError);
+  EXPECT_THROW(Decode<StatsReply>(Encode(stats, 0), kCapRenegotiate),
+               WireError);
+}
+
+/// A raw HELLO payload: magic, versions, and the capability word only
+/// when `with_capabilities` is set, whatever version_max says.
+std::vector<std::uint8_t> RawHello(std::uint16_t version_max,
+                                   bool with_capabilities) {
+  Writer writer;
+  writer.U32(kHelloMagic);
+  writer.U16(kProtocolVersionMin);
+  writer.U16(version_max);
+  if (with_capabilities) writer.U32(kDefaultCapabilities);
+  return writer.Take();
+}
+
+TEST(NetProtocolTest, HelloCapabilityWordFollowsVersionMax) {
+  // PROTOCOL.md: the capability word is on the wire iff version_max >= 2.
+  // At the bound: 12 bytes at version_max 2 and 8 bytes at version_max 1
+  // decode. One word short (8 bytes at 2) or one word over (12 bytes at
+  // 1) is kBadFrame.
+  EXPECT_EQ(Decode<HelloRequest>(RawHello(2, true)).capabilities,
+            kDefaultCapabilities);
+  EXPECT_EQ(Decode<HelloRequest>(RawHello(1, false)).capabilities, 0u);
+  for (const auto& [version_max, with_word] :
+       {std::pair<std::uint16_t, bool>{2, false}, {1, true}}) {
+    SCOPED_TRACE(version_max);
+    try {
+      Decode<HelloRequest>(RawHello(version_max, with_word));
+      FAIL() << "HELLO accepted against its version_max";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.status(), Status::kBadFrame);
+    }
+  }
 }
 
 std::string Hex(std::span<const std::uint8_t> bytes) {
@@ -528,56 +557,56 @@ TEST(NetProtocolTest, GoldenBytes) {
     std::vector<std::uint8_t> bytes;
     const char* hex;
   } golden[] = {
-      {"HELLO v1", EncodeHello(hello_v1),
+      {"HELLO v1", Encode(hello_v1),
        "41424e4301000100"},
-      {"HELLO v2", EncodeHello(hello_v2),
+      {"HELLO v2", Encode(hello_v2),
        "41424e430200020003030201"},
-      {"HELLO v7", EncodeHello(hello_future),
+      {"HELLO v7", Encode(hello_future),
        "41424e430100070000000000"},
-      {"HELLO_OK v1", EncodeHelloOk(hello_ok_v1),
+      {"HELLO_OK v1", Encode(hello_ok_v1),
        "01000807060504030201"},
-      {"HELLO_OK v2", EncodeHelloOk(hello_ok_v2),
+      {"HELLO_OK v2", Encode(hello_ok_v2),
        "0200000010000000000003000000"},
-      {"OPEN", EncodeOpen(open),
+      {"OPEN", Encode(open),
        "18000800000000000000017b000000000000004d0000000000000005000000e7"
        "030000000000002000000000000000fcffffffffffffffefbeadde000000000a"
        "006475616c2d74302d6269070074302c67726179"},
-      {"OPEN_OK", EncodeOpenOk(open_ok),
+      {"OPEN_OK", Encode(open_ok),
        "887766554433221101ffeeddccbbaa99"},
-      {"ATTACH", EncodeAttach(attach),
+      {"ATTACH", Encode(attach),
        "0600000000000000785634120df0feca"},
-      {"ATTACH_OK", EncodeAttachOk(attach_ok, 0),
+      {"ATTACH_OK", Encode(attach_ok, 0),
        "03000000000000004d00000000000000"},
-      {"ATTACH_OK+", EncodeAttachOk(attach_ok, kCapRenegotiate),
+      {"ATTACH_OK+", Encode(attach_ok, kCapRenegotiate),
        "03000000000000004d0000000000000002000000040067726179"},
       {"SUBMIT rows", EncodeSubmit(10, rows),
        "0a00000000000000030000000010000000000000041000000000000008200000"
        "00000000010001"},
-      {"SUBMIT_ACK", EncodeSubmitAck(ack, 0),
+      {"SUBMIT_ACK", Encode(ack, 0),
        "040000000000000001000900000000000000"},
-      {"SUBMIT_ACK+", EncodeSubmitAck(ack, kCapRenegotiate),
+      {"SUBMIT_ACK+", Encode(ack, kCapRenegotiate),
        "04000000000000000100090000000000000002007430"},
-      {"SUBMIT_STREAM batch", EncodeSubmitStream(stream),
+      {"SUBMIT_STREAM batch", Encode(stream),
        "0700000000000000000200000000000001020000000040000000000000044000"
        "00000000000001"},
       {"SUBMIT_STREAM pointers",
        EncodeSubmitStream(11, 3, false, addresses, sel, 3),
        "0b00000000000000030000000000000000030000000050000000000000105000"
        "00000000002050000000000000010100"},
-      {"RENEGOTIATE", EncodeRenegotiate(renegotiate),
+      {"RENEGOTIATE", Encode(renegotiate),
        "63000000000000000a006275732d696e76657274"},
-      {"RENEGOTIATE_ACK", EncodeRenegotiateAck(renegotiate_ok),
+      {"RENEGOTIATE_ACK", Encode(renegotiate_ok),
        "62000000000000003930000000000000040067726179"},
-      {"DRAIN_STATS", EncodeDrainStats(drain),
+      {"DRAIN_STATS", Encode(drain),
        "050000000000000001"},
-      {"STATS", EncodeStats(stats, 0),
+      {"STATS", Encode(stats, 0),
        "08000000000000000101000002000000000000f401000000000000fdffffffff"
        "ffffff110000000000000000e045401300000000000000140000000000000015"
        "000000000000000b000000000000000c000000000000000d000000000000000e"
        "000000000000000f000000000000001000000000000000120000000000000003"
        "0000000100000000000000feffffffffffffff03000000000000000200000064"
        "000000000000002c01000000000000"},
-      {"STATS+", EncodeStats(stats, kCapRenegotiate),
+      {"STATS+", Encode(stats, kCapRenegotiate),
        "08000000000000000101000002000000000000f401000000000000fdffffffff"
        "ffffff110000000000000000e045401300000000000000140000000000000015"
        "000000000000000b000000000000000c000000000000000d000000000000000e"
@@ -585,13 +614,13 @@ TEST(NetProtocolTest, GoldenBytes) {
        "0000000100000000000000feffffffffffffff03000000000000000200000064"
        "000000000000002c010000000000000200000040000000000000000400677261"
        "7980000000000000000200743002007430"},
-      {"CLOSE", EncodeClose(close),
+      {"CLOSE", Encode(close),
        "0807060504030201"},
-      {"CLOSE_OK", EncodeCloseOk(close_ok),
+      {"CLOSE_OK", Encode(close_ok),
        "0b0a000000000000"},
-      {"ERROR", EncodeError(error),
+      {"ERROR", Encode(error),
        "170008006e6f742068657265"},
-      {"framed CLOSE", EncodeFrame(FrameType::kClose, EncodeClose(framed)),
+      {"framed CLOSE", EncodeFrame(FrameType::kClose, Encode(framed)),
        "090000000b0900000000000000"},
   };
   for (const auto& entry : golden) {
@@ -785,8 +814,8 @@ TEST(NetServerTest, MidFrameDisconnectResumesExactlyOnce) {
   // Ship half of the next SUBMIT frame, then kill the connection: the
   // partial frame must be discarded whole — frames are atomic.
   const std::vector<std::uint8_t> frame_bytes = EncodeFrame(
-      FrameType::kSubmit, EncodeSubmit(opened.session_id,
-                                       all.subspan(accepted, 64)));
+      FrameType::kSubmit,
+      EncodeSubmit(opened.session_id, all.subspan(accepted, 64)));
   client->SendRaw(std::span<const std::uint8_t>(frame_bytes.data(),
                                                 frame_bytes.size() / 2));
   client->Abort();
@@ -905,26 +934,25 @@ TEST(NetServerTest, RequestScopedErrorsKeepConnectionUsable) {
 TEST(NetServerTest, MalformedFramingGetsErrorThenClose) {
   Server server(LoopbackConfig());
   server.Start();
-  const std::vector<std::uint8_t> hello =
-      EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{}));
+  const std::vector<std::uint8_t> hello = EncodeFrame(HelloRequest{});
 
   {  // frame before HELLO
     RawConn conn(server.endpoint());
-    conn.Send(EncodeFrame(FrameType::kClose, EncodeClose(CloseRequest{})));
+    conn.Send(EncodeFrame(CloseRequest{}));
     std::optional<Frame> reply = conn.Read();
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, FrameType::kError);
-    EXPECT_EQ(DecodeError(reply->payload).status, Status::kBadFrame);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status, Status::kBadFrame);
     EXPECT_FALSE(conn.Read().has_value());  // then close
   }
   {  // bad HELLO magic
     RawConn conn(server.endpoint());
     HelloRequest bad;
     bad.magic = 0x12345678u;
-    conn.Send(EncodeFrame(FrameType::kHello, EncodeHello(bad)));
+    conn.Send(EncodeFrame(bad));
     std::optional<Frame> reply = conn.Read();
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(DecodeError(reply->payload).status, Status::kBadMagic);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status, Status::kBadMagic);
     EXPECT_FALSE(conn.Read().has_value());
   }
   {  // no version overlap
@@ -932,10 +960,10 @@ TEST(NetServerTest, MalformedFramingGetsErrorThenClose) {
     HelloRequest bad;
     bad.version_min = 99;
     bad.version_max = 100;
-    conn.Send(EncodeFrame(FrameType::kHello, EncodeHello(bad)));
+    conn.Send(EncodeFrame(bad));
     std::optional<Frame> reply = conn.Read();
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(DecodeError(reply->payload).status, Status::kBadVersion);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status, Status::kBadVersion);
     EXPECT_FALSE(conn.Read().has_value());
   }
   {  // oversized length prefix, rejected before any payload arrives
@@ -943,7 +971,8 @@ TEST(NetServerTest, MalformedFramingGetsErrorThenClose) {
     conn.Send(std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF, 0xFF});
     std::optional<Frame> reply = conn.Read();
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(DecodeError(reply->payload).status, Status::kFrameTooLarge);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status,
+              Status::kFrameTooLarge);
     EXPECT_FALSE(conn.Read().has_value());
   }
   {  // truncated payload inside a well-framed message
@@ -957,13 +986,109 @@ TEST(NetServerTest, MalformedFramingGetsErrorThenClose) {
     ASSERT_EQ(conn.Read()->type, FrameType::kHelloOk);
     std::optional<Frame> reply = conn.Read();
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(DecodeError(reply->payload).status, Status::kBadFrame);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status, Status::kBadFrame);
     EXPECT_FALSE(conn.Read().has_value());
   }
 
   // After the whole catalogue the server still serves a clean client.
   Client client(OptionsFor(server));
   const OpenReply opened = client.Open(OpenRequest{});
+  client.Close(opened.session_id);
+  server.Stop();
+}
+
+TEST(NetServerTest, HelloAgainstItsVersionGetsBadFrameThenClose) {
+  // A HELLO whose capability word disagrees with version_max is a
+  // framing violation: ERROR BAD_FRAME, then the server closes.
+  Server server(LoopbackConfig());
+  server.Start();
+  for (const auto& [version_max, with_word] :
+       {std::pair<std::uint16_t, bool>{2, false}, {1, true}}) {
+    SCOPED_TRACE(version_max);
+    RawConn conn(server.endpoint());
+    conn.Send(EncodeFrame(FrameType::kHello, RawHello(version_max, with_word)));
+    std::optional<Frame> reply = conn.Read();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_EQ(Decode<ErrorReply>(reply->payload).status, Status::kBadFrame);
+    EXPECT_FALSE(conn.Read().has_value());
+  }
+  // At the bound the handshake succeeds.
+  RawConn conn(server.endpoint());
+  conn.Send(EncodeFrame(FrameType::kHello, RawHello(2, true)));
+  std::optional<Frame> reply = conn.Read();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kHelloOk);
+  server.Stop();
+}
+
+TEST(NetServerTest, MixedSubmitFramesShareOneCount) {
+  // v1 SUBMIT and SUBMIT_STREAM on one session of a v2 connection take
+  // one admission path and share one lifetime count: each ack grows by
+  // its batch, a SUBMIT_STREAM whose offset ignores the SUBMIT before it
+  // is rejected whole, and STATS matches the serial oracle.
+  Server server(LoopbackConfig());
+  server.Start();
+  Client client(OptionsFor(server));
+  ASSERT_NE(client.capabilities() & kCapPipeline, 0u);
+  constexpr std::size_t kBatch = 64;
+  const std::vector<BusAccess> stream = TestStream(7 * kBatch, 21);
+  std::vector<Word> addresses;
+  std::vector<std::uint8_t> sel;
+  for (const BusAccess& access : stream) {
+    addresses.push_back(access.address);
+    sel.push_back(access.sel ? 1 : 0);
+  }
+  OpenRequest open;
+  open.codec = "bus-invert";
+  const OpenReply opened = client.Open(open);
+  const std::span<const BusAccess> rows(stream);
+  const auto submit_stream = [&](std::uint64_t offset, std::size_t at) {
+    client.SendRaw(EncodeFrame(
+        FrameType::kSubmitStream,
+        EncodeSubmitStream(opened.session_id, offset, /*want_ack=*/true,
+                           addresses.data() + at, sel.data() + at, kBatch)));
+    const Frame frame = client.ReadFrame();
+    EXPECT_EQ(frame.type, FrameType::kSubmitAck);
+    return Decode<SubmitAck>(frame.payload, client.capabilities());
+  };
+
+  std::size_t at = 0;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const SubmitAck v1 = client.Submit(opened.session_id,
+                                       rows.subspan(at, kBatch));
+    EXPECT_EQ(v1.status, Status::kOk);
+    EXPECT_EQ(v1.accepted, at + kBatch);
+    at += kBatch;
+    if (round == 2) {
+      // Offset `at - kBatch` ignores the SUBMIT just admitted.
+      const SubmitAck stale = submit_stream(at - kBatch, at);
+      EXPECT_EQ(stale.status, Status::kRejected);
+      EXPECT_EQ(stale.accepted, at);
+    }
+    const SubmitAck streamed = submit_stream(at, at);
+    EXPECT_EQ(streamed.status, Status::kOk);
+    EXPECT_EQ(streamed.accepted, at + kBatch);
+    at += kBatch;
+  }
+  const SubmitAck last = client.Submit(opened.session_id,
+                                       rows.subspan(at, kBatch));
+  EXPECT_EQ(last.accepted, stream.size());
+
+  const StatsReply stats = client.DrainStats(opened.session_id, true);
+  EXPECT_EQ(stats.accepted, stream.size());
+  EXPECT_EQ(stats.stream_length, stream.size());
+  const std::vector<std::size_t> resets(stats.reset_points.begin(),
+                                        stats.reset_points.end());
+  const EvalResult expected = EvaluateWithSchedule(
+      "bus-invert", CodecOptions{}, stream, {}, resets);
+  EXPECT_EQ(stats.transitions, expected.transitions);
+  EXPECT_EQ(stats.peak_transitions, expected.peak_transitions);
+  EXPECT_EQ(stats.in_sequence_percent, expected.in_sequence_percent);
+  EXPECT_EQ(stats.per_line,
+            std::vector<long long>(expected.per_line.begin(),
+                                   expected.per_line.end()));
   client.Close(opened.session_id);
   server.Stop();
 }
@@ -1097,15 +1222,13 @@ TEST(NetServerTest, StopWhileSessionsDrain) {
     DrainStatsRequest drain;
     drain.session_id = opened.session_id;
     drain.wait_drained = true;
-    const std::vector<std::uint8_t> frame =
-        EncodeFrame(FrameType::kDrainStats, EncodeDrainStats(drain));
+    const std::vector<std::uint8_t> frame = EncodeFrame(drain);
     requests.insert(requests.end(), frame.begin(), frame.end());
   }
   // CLOSE_OK after the DRAIN_STATS frames proves the loop read them all.
   CloseRequest close;
   close.session_id = probe.session_id;
-  const std::vector<std::uint8_t> frame =
-      EncodeFrame(FrameType::kClose, EncodeClose(close));
+  const std::vector<std::uint8_t> frame = EncodeFrame(close);
   requests.insert(requests.end(), frame.begin(), frame.end());
   client.SendRaw(requests);
   while (client.ReadFrame().type != FrameType::kCloseOk) {
@@ -1146,13 +1269,11 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   DrainStatsRequest drain;
   drain.session_id = opened.session_id;
   drain.wait_drained = true;
-  std::vector<std::uint8_t> requests =
-      EncodeFrame(FrameType::kDrainStats, EncodeDrainStats(drain));
+  std::vector<std::uint8_t> requests = EncodeFrame(drain);
   // CLOSE_OK after the DRAIN_STATS frame proves the loop read it.
   CloseRequest close;
   close.session_id = probe.session_id;
-  const std::vector<std::uint8_t> frame =
-      EncodeFrame(FrameType::kClose, EncodeClose(close));
+  const std::vector<std::uint8_t> frame = EncodeFrame(close);
   requests.insert(requests.end(), frame.begin(), frame.end());
   old_conn.SendRaw(requests);
   ASSERT_EQ(old_conn.ReadFrame().type, FrameType::kCloseOk);
@@ -1161,7 +1282,7 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   EXPECT_EQ(new_conn.Attach(opened.session_id, opened.token).accepted, 64u);
   const Frame reply = old_conn.ReadFrame();
   ASSERT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(DecodeError(reply.payload).status, Status::kNotAttached);
+  EXPECT_EQ(Decode<ErrorReply>(reply.payload).status, Status::kNotAttached);
 
   {
     std::lock_guard<std::mutex> lock(gate->mutex);

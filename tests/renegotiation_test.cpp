@@ -533,11 +533,11 @@ TEST(RenegotiationWireTest, SubmitStreamOffsetGuardRejectsStaleOffset) {
   Server server(LoopbackConfig());
   server.Start();
   RawConn conn(server.endpoint());
-  conn.Send(EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{})));
-  const HelloReply hello = DecodeHelloOk(conn.Read()->payload);
+  conn.Send(EncodeFrame(HelloRequest{}));
+  const HelloReply hello = Decode<HelloReply>(conn.Read()->payload);
   ASSERT_EQ(hello.version, kProtocolVersion);
-  conn.Send(EncodeFrame(FrameType::kOpen, EncodeOpen(OpenRequest{})));
-  const OpenReply opened = DecodeOpenOk(conn.Read()->payload);
+  conn.Send(EncodeFrame(OpenRequest{}));
+  const OpenReply opened = Decode<OpenReply>(conn.Read()->payload);
 
   const std::vector<BusAccess> stream = TestStream(8, 34);
   std::vector<Word> addresses;
@@ -554,7 +554,7 @@ TEST(RenegotiationWireTest, SubmitStreamOffsetGuardRejectsStaleOffset) {
   std::optional<Frame> frame = conn.Read();
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, FrameType::kSubmitAck);
-  SubmitAck ack = DecodeSubmitAck(frame->payload, hello.capabilities);
+  SubmitAck ack = Decode<SubmitAck>(frame->payload, hello.capabilities);
   EXPECT_EQ(ack.status, Status::kRejected);
   EXPECT_EQ(ack.accepted, 0u);
 
@@ -567,7 +567,7 @@ TEST(RenegotiationWireTest, SubmitStreamOffsetGuardRejectsStaleOffset) {
   frame = conn.Read();
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, FrameType::kSubmitAck);
-  ack = DecodeSubmitAck(frame->payload, hello.capabilities);
+  ack = Decode<SubmitAck>(frame->payload, hello.capabilities);
   EXPECT_EQ(ack.status, Status::kOk);
   EXPECT_EQ(ack.accepted, stream.size());
   server.Stop();
@@ -621,20 +621,19 @@ TEST(RenegotiationWireTest, CapabilityGatedFrameWithoutCapIsFatal) {
   RawConn conn(server.endpoint());
   HelloRequest hello;
   hello.capabilities = 0;
-  conn.Send(EncodeFrame(FrameType::kHello, EncodeHello(hello)));
-  const HelloReply negotiated = DecodeHelloOk(conn.Read()->payload);
+  conn.Send(EncodeFrame(hello));
+  const HelloReply negotiated = Decode<HelloReply>(conn.Read()->payload);
   ASSERT_EQ(negotiated.version, kProtocolVersion);
   ASSERT_EQ(negotiated.capabilities, 0u);
 
   RenegotiateRequest request;
   request.session_id = 1;
   request.codec = "gray";
-  conn.Send(EncodeFrame(FrameType::kRenegotiate,
-                        EncodeRenegotiate(request)));
+  conn.Send(EncodeFrame(request));
   std::optional<Frame> frame = conn.Read();
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, FrameType::kError);
-  const ErrorReply error = DecodeError(frame->payload);
+  const ErrorReply error = Decode<ErrorReply>(frame->payload);
   EXPECT_TRUE(StatusIsFatal(error.status));
   EXPECT_FALSE(conn.Read().has_value());  // server closed the connection
   server.Stop();
