@@ -102,11 +102,6 @@ SessionReport EncodingService::Report(std::uint64_t session_id) const {
   return FindSession(sessions_, session_id, sessions_mutex_)->Report();
 }
 
-bool EncodingService::HasSession(std::uint64_t session_id) const {
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  return sessions_.find(session_id) != sessions_.end();
-}
-
 std::size_t EncodingService::SessionQueued(std::uint64_t session_id) const {
   return FindSession(sessions_, session_id, sessions_mutex_)->queued();
 }
@@ -135,21 +130,6 @@ void EncodingService::SessionDrained(Session& session) {
     std::lock_guard<std::mutex> lock(listener_mutex_);
     if (drain_listener_) drain_listener_(session.id());
   }
-}
-
-std::vector<SessionReport> EncodingService::ReportAll() const {
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session);
-  }
-  std::vector<SessionReport> reports;
-  reports.reserve(sessions.size());
-  for (const std::shared_ptr<Session>& session : sessions) {
-    reports.push_back(session->Report());
-  }
-  return reports;
 }
 
 std::size_t EncodingService::total_queued() const {

@@ -126,12 +126,6 @@ class EncodingService {
   bool EvictSession(std::uint64_t session_id);
 
   SessionReport Report(std::uint64_t session_id) const;
-  std::vector<SessionReport> ReportAll() const;
-
-  /// Whether `session_id` names a live session (any state). The network
-  /// front-end uses this for attach/stats checks without the throwing
-  /// lookup.
-  bool HasSession(std::uint64_t session_id) const;
 
   /// Accesses queued and not yet processed for one session; zero means
   /// the session is quiescent and Report() is complete. Unknown ids
@@ -178,9 +172,6 @@ class EncodingService {
     return idle_evictions_.load(std::memory_order_relaxed);
   }
 
-  unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
-  }
   /// Test access to a shard (stall hooks, heartbeats).
   Shard& shard(unsigned index) { return *shards_[index]; }
 

@@ -11,24 +11,6 @@
 
 namespace abenc::service {
 
-std::string AdmissionName(Admission admission) {
-  switch (admission) {
-    case Admission::kAccepted: return "accepted";
-    case Admission::kSlowDown: return "slow-down";
-    case Admission::kRejected: return "rejected";
-    case Admission::kClosed:   return "closed";
-  }
-  return "?";
-}
-
-std::string SessionStateName(SessionState state) {
-  switch (state) {
-    case SessionState::kActive:  return "active";
-    case SessionState::kEvicted: return "evicted";
-  }
-  return "?";
-}
-
 std::string RenegotiateStatusName(RenegotiateStatus status) {
   switch (status) {
     case RenegotiateStatus::kScheduled:         return "scheduled";
@@ -460,11 +442,6 @@ std::optional<RenegotiationSnapshot> Session::StatsSnapshot() const {
   snapshot.switch_pending = pending_switch_.has_value();
   snapshot.degraded = ever_degraded_;
   return snapshot;
-}
-
-SessionState Session::state() const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return state_;
 }
 
 SessionReport Session::Report() const {

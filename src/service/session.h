@@ -101,16 +101,12 @@ enum class Admission : unsigned char {
   kClosed,    // session input was closed; nothing was queued
 };
 
-std::string AdmissionName(Admission admission);
-
 /// Where a session is in its lifecycle. Input-closed is orthogonal
 /// (an evicted session can be closed and vice versa).
 enum class SessionState : unsigned char {
   kActive,   // FSMs built, processing
   kEvicted,  // FSMs torn down; new traffic re-admits lazily
 };
-
-std::string SessionStateName(SessionState state);
 
 /// One submitted batch in columnar layout — the `.ctrace` / wire-SUBMIT
 /// shape (all addresses, then all SEL bytes). The queue holds these
@@ -375,8 +371,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Only an active session with an empty queue can be evicted; returns
   /// whether it was.
   bool Evict();
-
-  SessionState state() const;
 
   /// Quiescent snapshot; safe from any thread at any time, but only
   /// guaranteed complete once queued() == 0.
