@@ -12,16 +12,17 @@
 // nonzero fault_seed is refused (production servers take no
 // wire-specified faults).
 //
-// Runs until SIGINT/SIGTERM. Exit status: 0 clean shutdown, 2 bad
-// usage or bind failure.
-#include <chrono>
+// Runs until SIGINT/SIGTERM, which the main thread waits for in
+// sigwait (no timer). Exit status: 0 clean shutdown, 2 bad usage or bind
+// failure.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "core/cli_flags.h"
 #include "net/server.h"
@@ -43,10 +44,6 @@ using abenc::net::ServerConfig;
             << "  [--fault-planner] [--fault-length N]\n";
   std::exit(2);
 }
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void HandleSignal(int) { g_stop = 1; }
 
 }  // namespace
 
@@ -84,6 +81,14 @@ int main(int argc, char** argv) {
     };
   }
 
+  // Blocked before the Server starts its threads, which inherit the
+  // mask: the stop signals reach only the sigwait below.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   std::unique_ptr<Server> server;
   try {
     server = std::make_unique<Server>(std::move(config));
@@ -95,11 +100,8 @@ int main(int argc, char** argv) {
   std::cout << "abenc_serve: listening on " << server->endpoint()
             << std::endl;
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  int received = 0;
+  sigwait(&stop_signals, &received);
 
   const abenc::net::ServerStats stats = server->stats();
   server->Stop();
