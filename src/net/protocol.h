@@ -212,6 +212,7 @@ std::optional<Frame> TryExtractFrame(std::vector<std::uint8_t>& buffer,
 // it with Get, which reads each field back. `io.caps` is the connection's
 // negotiated capabilities: a gated extension is on the wire iff its
 // capability is in force, and a field the walk skips keeps its default.
+// PROTOCOL.md's i32/i64 fields travel as their two's-complement u32/u64.
 
 /// The encode side of a walk.
 class Put {
