@@ -32,6 +32,10 @@ class BinaryCodec final : public Codec {
   Word Decode(const BusState& bus, bool /*sel*/) override {
     return Mask(bus.lines);
   }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
+  }
   void Reset() override {}
 };
 

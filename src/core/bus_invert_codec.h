@@ -84,9 +84,7 @@ class BusInvertCodec final : public Codec {
   void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override {
     if (partitions_ != 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = Encode(in.address(i), in.sel_at(i));
-      }
+      EncodeEach(*this, in, n, out);
       return;
     }
     if (n == 0) return;
@@ -103,6 +101,10 @@ class BusInvertCodec final : public Codec {
       b |= (inv ? ~bus.lines : bus.lines) & slice_mask;
     }
     return Mask(b);
+  }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
   }
 
   void Reset() override { prev_ = BusState{}; }

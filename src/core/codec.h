@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "core/simd/kernels.h"
 #include "core/types.h"
@@ -96,7 +97,9 @@ class Codec {
   /// same bus trajectory. The base implementation loops the virtual
   /// Encode; the high-traffic codes (binary, Gray, offset, T0, INC-XOR,
   /// bus-invert) override it with the SIMD dispatch kernels, which pay
-  /// one virtual dispatch per block instead of per word.
+  /// one virtual dispatch per block instead of per word, and the
+  /// paper's mixed codes (T0_BI, dual T0, dual T0_BI) with EncodeEach,
+  /// their own Encode inlined into one loop.
   virtual void EncodeBatch(AccessView in, std::size_t n,
                            std::span<BusState> out) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -115,6 +118,26 @@ class Codec {
   /// encoder saw in the same cycle (it travels on the bus, per the paper).
   virtual Word Decode(const BusState& bus, bool sel) = 0;
 
+  /// Decode the consecutive bus states `bus` into `out` (which must hold
+  /// at least bus.size() entries); `in` supplies each cycle's SEL (its
+  /// addresses are not read). The twin of EncodeBatch, behind
+  /// EvaluateBatched's decode check.
+  ///
+  /// Contract (the same bit-identity guarantee, enforced by the
+  /// `decoder-lockstep` verify property and tests/stream_evaluator_test):
+  /// DecodeBatch returns exactly what bus.size() successive Decode()
+  /// calls would, and leaves the decoder-side state identical, so any
+  /// chunking mixed freely with Decode recovers the same addresses. The
+  /// base implementation loops the virtual Decode; binary, Gray,
+  /// bus-invert, T0, T0_BI, dual T0 and dual T0_BI override it with
+  /// DecodeEach, their own Decode inlined into one loop.
+  virtual void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                           std::span<Word> out) {
+    for (std::size_t i = 0; i < bus.size(); ++i) {
+      out[i] = Decode(bus[i], in.sel_at(i));
+    }
+  }
+
   /// Return both ends of the bus to the power-on state (all lines low,
   /// no history). The first address after reset is always sent verbatim.
   virtual void Reset() = 0;
@@ -130,5 +153,31 @@ class Codec {
 };
 
 using CodecPtr = std::unique_ptr<Codec>;
+
+/// The per-word loops of the Codec base class, over a final codec's own
+/// Encode/Decode: the static type names the final overrider, so the
+/// compiler calls it directly and can inline it — one virtual dispatch
+/// per block, as the SIMD kernels pay, for codes whose recurrences have
+/// no kernel. Same words, same order, same state left behind as the
+/// base loops, hence the same contracts.
+template <class FinalCodec>
+void EncodeEach(FinalCodec& codec, AccessView in, std::size_t n,
+                std::span<BusState> out) {
+  static_assert(std::is_final_v<FinalCodec>,
+                "EncodeEach devirtualizes only a final codec's Encode");
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = codec.Encode(in.address(i), in.sel_at(i));
+  }
+}
+
+template <class FinalCodec>
+void DecodeEach(FinalCodec& codec, AccessView in,
+                std::span<const BusState> bus, std::span<Word> out) {
+  static_assert(std::is_final_v<FinalCodec>,
+                "DecodeEach devirtualizes only a final codec's Decode");
+  for (std::size_t i = 0; i < bus.size(); ++i) {
+    out[i] = codec.Decode(bus[i], in.sel_at(i));
+  }
+}
 
 }  // namespace abenc

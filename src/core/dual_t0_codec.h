@@ -46,11 +46,23 @@ class DualT0Codec final : public Codec {
     return out;
   }
 
+  // The shadow register only loads on instruction slots, so the batch
+  // paths keep the one-pass recurrence and drop the per-word virtual
+  // call.
+  void EncodeBatch(AccessView in, std::size_t n,
+                   std::span<BusState> out) override {
+    EncodeEach(*this, in, n, out);
+  }
+
   Word Decode(const BusState& bus, bool sel) override {
     const Word b = (bus.redundant & 1) ? Mask(dec_shadow_ + stride_)
                                        : Mask(bus.lines);
     if (sel) dec_shadow_ = b;
     return b;
+  }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
   }
 
   void Reset() override {

@@ -53,6 +53,14 @@ class DualT0BICodec final : public Codec {
     return out;
   }
 
+  // The shadow register and the bus-invert decision are serial
+  // recurrences, so the batch paths keep the one-pass loop and drop the
+  // per-word virtual call.
+  void EncodeBatch(AccessView in, std::size_t n,
+                   std::span<BusState> out) override {
+    EncodeEach(*this, in, n, out);
+  }
+
   Word Decode(const BusState& bus, bool sel) override {
     Word b;
     if ((bus.redundant & 1) && sel) {
@@ -64,6 +72,10 @@ class DualT0BICodec final : public Codec {
     }
     if (sel) dec_shadow_ = b;
     return b;
+  }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
   }
 
   void Reset() override {

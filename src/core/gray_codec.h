@@ -55,6 +55,10 @@ class GrayCodec final : public Codec {
     const Word word_part = shift_ >= 64 ? 0 : (g >> shift_);
     return Mask((GrayToBinary(word_part) << shift_) | low);
   }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
+  }
 
   void Reset() override {}
 

@@ -5,6 +5,12 @@
 #include <sstream>
 #include <stdexcept>
 
+// The x86-64 build's POPCNT floor (src/core/CMakeLists.txt): a build
+// that drops the option fails here rather than running libgcc popcounts.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#error "abenc_core on x86-64 requires -mpopcnt (see src/core/CMakeLists.txt)"
+#endif
+
 namespace abenc::simd {
 namespace {
 
@@ -64,6 +70,16 @@ std::string JoinNames(const std::vector<KernelBackend>& backends) {
 std::atomic<const KernelTable*> g_active{nullptr};
 
 const KernelTable* ResolveInitialTable() {
+#if defined(__x86_64__)
+  // Every backend, scalar included, is compiled with POPCNT; name the
+  // requirement here instead of letting a later instruction raise
+  // SIGILL.
+  if (__builtin_cpu_supports("popcnt") == 0) {
+    throw std::runtime_error(
+        "this abenc build requires an x86-64 CPU with the POPCNT "
+        "instruction (every x86-64 CPU since 2008-09 has it)");
+  }
+#endif
   const char* env = std::getenv("ABENC_KERNEL");
   if (env != nullptr && *env != '\0') {
     return TableFor(ResolveBackend(env));

@@ -16,7 +16,10 @@
 // compiled (with a per-file -mavx2) only on x86-64, kernels_neon.cpp
 // only on aarch64; ABENC_HAVE_AVX2 / ABENC_HAVE_NEON mirror that. At
 // run time an AVX2 binary still probes the CPU before ever selecting
-// the AVX2 table, so the same build runs on pre-AVX2 hardware.
+// the AVX2 table, so the same build runs on pre-AVX2 hardware. The one
+// floor is POPCNT on x86-64, which the whole library is compiled for:
+// the first table resolution throws std::runtime_error on a CPU
+// without it.
 #pragma once
 
 #include <string>

@@ -8,7 +8,9 @@
 // every other backend is bit-identical to it by contract, enforced by
 // the `kernel-dispatch-identity` universal verify property,
 // tests/kernel_dispatch_test and the CI ISA-matrix byte-diff. Backend
-// selection lives in core/simd/kernel_dispatch.h.
+// selection lives in core/simd/kernel_dispatch.h. Codes without a
+// kernel — the paper's mixed codes among them — batch through
+// EncodeEach/DecodeEach (core/codec.h), and no table decodes yet.
 //
 // Kernels read addresses through a strided AddressView so the same
 // function serves both input layouts with zero copies: a raw columnar

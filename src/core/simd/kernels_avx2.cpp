@@ -3,8 +3,9 @@
 // This translation unit is the only one compiled with -mavx2 (a
 // per-file property in src/core/CMakeLists.txt — a global arch flag
 // would let the compiler sprinkle AVX2 into code that runs before the
-// dispatcher has probed the CPU). kernel_dispatch guarantees these
-// functions are reached only on hosts that report the extension.
+// dispatcher has probed the CPU; POPCNT, the library's x86-64 floor, is
+// the one global flag). kernel_dispatch guarantees these functions are
+// reached only on hosts that report the extension.
 //
 // Layout notes. BusAccess and BusState are both 16 bytes (two Words),
 // so a group of four records spans two 256-bit vectors. Addresses are
@@ -14,9 +15,19 @@
 // INC-XOR's running XOR) become a lane shift with a scalar carry-in;
 // bus-invert's majority decision feeds back through a popcount and
 // stays scalar in this table too — documented, not hidden.
+//
+// The transition sweep packs each cycle's data and redundant diffs into
+// one word (line j at bit j) and counts it three ways: hardware POPCNT
+// for the total and the peak, and one byte counter per line for the
+// histogram — each bit expanded to a byte lane (vpshufb, then vpcmpeqb
+// against 0x8040...01) and accumulated with vpsubb, widened into the
+// per-line totals every 252 cycles. Geometries wider than 64 packed
+// lines take the scalar sweep.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "core/simd/kernels.h"
 
@@ -77,74 +88,50 @@ inline Word Lane3(__m256i x) {
   return static_cast<Word>(_mm256_extract_epi64(x, 3));
 }
 
-// Per-lane 64-bit popcount: nibble LUT via pshufb, horizontal byte sum
-// via SAD against zero.
-inline __m256i PopCount64x4(__m256i v) {
-  const __m256i lut = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_nibble = _mm256_set1_epi8(0x0F);
-  const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, low_nibble));
-  const __m256i hi = _mm256_shuffle_epi8(
-      lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), low_nibble));
-  return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
-}
+// Per-line counters of the transition sweep, one byte lane per packed
+// line: byte j of `low` counts the cycles that toggled line j, byte j of
+// `high` line 32 + j. A cycle adds at most one to a lane, so a lane holds
+// kFlushCycles cycles before Flush widens it into the per-line totals.
+struct ByteCounters {
+  // Byte k of a 128-bit lane selects byte k / 8 of the broadcast word
+  // (low: bytes 0-3, high: bytes 4-7); kBit then isolates bit k % 8.
+  const __m256i low_bytes = _mm256_setr_epi8(
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i high_bytes = _mm256_setr_epi8(
+      4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,
+      6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7);
+  const __m256i bit = _mm256_set1_epi64x(
+      static_cast<long long>(0x8040201008040201ULL));
+  __m256i low = _mm256_setzero_si256();
+  __m256i high = _mm256_setzero_si256();
 
-inline long long HorizontalSum64(__m256i v) {
-  alignas(32) long long lanes[kLanes];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-inline int HorizontalMax64(__m256i v) {
-  alignas(32) long long lanes[kLanes];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  long long best = lanes[0];
-  for (std::size_t i = 1; i < kLanes; ++i) {
-    if (lanes[i] > best) best = lanes[i];
-  }
-  return static_cast<int>(best);
-}
-
-// Bit-sliced vertical counters for the per-line histogram: plane k bit
-// j lane l holds bit k of "how many of lane l's cycles toggled line j".
-// Depth 8 counts 255 additions before a flush is due.
-struct VerticalPlanes {
-  __m256i planes[8];
-  unsigned pending = 0;
-
-  VerticalPlanes() {
-    for (__m256i& p : planes) p = _mm256_setzero_si256();
+  // Count the set bits of one packed cycle: each expands to an all-ones
+  // byte (-1), which the subtraction adds as +1.
+  void Add(const Word* packed) {
+    const __m256i word = _mm256_broadcastq_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(packed)));
+    const __m256i lo = _mm256_and_si256(_mm256_shuffle_epi8(word, low_bytes),
+                                        bit);
+    const __m256i hi = _mm256_and_si256(
+        _mm256_shuffle_epi8(word, high_bytes), bit);
+    low = _mm256_sub_epi8(low, _mm256_cmpeq_epi8(lo, bit));
+    high = _mm256_sub_epi8(high, _mm256_cmpeq_epi8(hi, bit));
   }
 
-  void Add(__m256i bits) {
-    __m256i carry = bits;
-    for (__m256i& p : planes) {
-      const __m256i overflow = _mm256_and_si256(p, carry);
-      p = _mm256_xor_si256(p, carry);
-      carry = overflow;
-      if (_mm256_testz_si256(carry, carry)) break;
-    }
-    ++pending;
-  }
-
-  void Flush(long long* per_line, unsigned line_offset) {
-    for (unsigned k = 0; k < 8; ++k) {
-      alignas(32) Word lanes[kLanes];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), planes[k]);
-      planes[k] = _mm256_setzero_si256();
-      const long long weight = 1LL << k;
-      for (Word lane : lanes) {
-        while (lane != 0) {
-          per_line[line_offset +
-                   static_cast<unsigned>(std::countr_zero(lane))] += weight;
-          lane &= lane - 1;
-        }
-      }
-    }
-    pending = 0;
+  void Flush(long long* per_line, unsigned lines) {
+    alignas(32) std::uint8_t counts[2 * sizeof(__m256i)];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(counts), low);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(counts) + 1, high);
+    for (unsigned line = 0; line < lines; ++line) per_line[line] += counts[line];
+    low = _mm256_setzero_si256();
+    high = _mm256_setzero_si256();
   }
 };
+
+// Cycles between two ByteCounters flushes: a multiple of kLanes that
+// stays below a byte lane's 255.
+constexpr std::size_t kFlushCycles = 252;
 
 void BinaryEncodeAvx2(AddressView in, std::size_t n, Word mask,
                       BusState* out) {
@@ -286,61 +273,66 @@ void T0EncodeAvx2(AddressView in, std::size_t n, Word mask, Word stride,
 void TransitionSweepAvx2(const BusState* states, std::size_t n, Word data_mask,
                          Word redundant_mask, unsigned width, BusState* prev,
                          long long* total, int* peak, long long* per_line) {
-  if (n < 2 * kLanes) {
+  // Each cycle's data and redundant diffs pack into one word, line j at
+  // bit j — the per-line histogram's own order — so wider geometries
+  // (and data masks reaching past `width`) take the scalar sweep.
+  const unsigned lines =
+      width + static_cast<unsigned>(std::bit_width(redundant_mask));
+  if (n < 2 * kLanes || lines > 64 || (data_mask & ~LowMask(width)) != 0) {
     detail::TransitionSweepScalar(states, n, data_mask, redundant_mask, width,
                                   prev, total, peak, per_line);
     return;
   }
-  const __m256i vdmask =
-      _mm256_set1_epi64x(static_cast<long long>(data_mask));
-  const __m256i vrmask =
-      _mm256_set1_epi64x(static_cast<long long>(redundant_mask));
-  Word prev_lines = prev->lines;
-  Word prev_redundant = prev->redundant;
-  __m256i total_acc = _mm256_setzero_si256();
-  __m256i peak_acc = _mm256_setzero_si256();
-  VerticalPlanes line_planes;
-  VerticalPlanes redundant_planes;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256i* p = reinterpret_cast<const __m256i*>(states + i);
-    const __m256i s01 = _mm256_loadu_si256(p);
-    const __m256i s23 = _mm256_loadu_si256(p + 1);
-    const __m256i lines = GatherLines(s01, s23);
-    const __m256i redundant = GatherRedundant(s01, s23);
-    const __m256i diff = _mm256_and_si256(
-        _mm256_xor_si256(
-            lines, ShiftInPrev(lines, _mm256_set1_epi64x(
-                                          static_cast<long long>(prev_lines)))),
-        vdmask);
-    const __m256i rdiff = _mm256_and_si256(
-        _mm256_xor_si256(
-            redundant,
-            ShiftInPrev(redundant, _mm256_set1_epi64x(static_cast<long long>(
-                                       prev_redundant)))),
-        vrmask);
-    const __m256i counts =
-        _mm256_add_epi64(PopCount64x4(diff), PopCount64x4(rdiff));
-    total_acc = _mm256_add_epi64(total_acc, counts);
-    // Per-cycle counts are <= 128, so the 64-bit lanes' low halves hold
-    // them with zero high halves and a 32-bit max is exact.
-    peak_acc = _mm256_max_epi32(peak_acc, counts);
-    line_planes.Add(diff);
-    if (!_mm256_testz_si256(rdiff, rdiff)) redundant_planes.Add(rdiff);
-    if (line_planes.pending >= 255) line_planes.Flush(per_line, 0);
-    if (redundant_planes.pending >= 255) {
-      redundant_planes.Flush(per_line, width);
+  // The first cycle diffs against *prev; every later one against the
+  // state before it in the block, read by an unaligned load one state
+  // back.
+  detail::TransitionSweepScalar(states, 1, data_mask, redundant_mask, width,
+                                prev, total, peak, per_line);
+  const __m256i masks = _mm256_setr_epi64x(
+      static_cast<long long>(data_mask), static_cast<long long>(redundant_mask),
+      static_cast<long long>(data_mask), static_cast<long long>(redundant_mask));
+  // A shift count of 64 (width 64, no redundant lines) yields zero.
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(width));
+  long long t = *total;
+  int pk = *peak;
+  ByteCounters counters;
+  alignas(32) Word packed[kFlushCycles];
+  std::size_t i = 1;
+  while (n - i >= kLanes) {
+    // Pack up to kFlushCycles cycles, then count them from memory: the
+    // counters broadcast each word with a load, not a shuffle. Cycle
+    // order within a group of four does not matter to any count.
+    const std::size_t m = std::min(kFlushCycles, (n - i) / kLanes * kLanes);
+    for (std::size_t k = 0; k < m; k += kLanes) {
+      const BusState* s = states + i + k;
+      const __m256i d01 = _mm256_and_si256(
+          _mm256_xor_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s)),
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s - 1))),
+          masks);
+      const __m256i d23 = _mm256_and_si256(
+          _mm256_xor_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 2)),
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 1))),
+          masks);
+      const __m256i diff = _mm256_unpacklo_epi64(d01, d23);
+      const __m256i rdiff = _mm256_unpackhi_epi64(d01, d23);
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(packed + k),
+          _mm256_or_si256(diff, _mm256_sll_epi64(rdiff, shift)));
     }
-    prev_lines = Lane3(lines);
-    prev_redundant = Lane3(redundant);
+    for (std::size_t k = 0; k < m; ++k) {
+      counters.Add(packed + k);
+      const int this_cycle = std::popcount(packed[k]);
+      t += this_cycle;
+      if (this_cycle > pk) pk = this_cycle;
+    }
+    counters.Flush(per_line, lines);
+    i += m;
   }
-  line_planes.Flush(per_line, 0);
-  redundant_planes.Flush(per_line, width);
-  *total += HorizontalSum64(total_acc);
-  const int vector_peak = HorizontalMax64(peak_acc);
-  if (vector_peak > *peak) *peak = vector_peak;
-  prev->lines = prev_lines;
-  prev->redundant = prev_redundant;
+  *total = t;
+  *peak = pk;
+  *prev = states[i - 1];
   detail::TransitionSweepScalar(states + i, n - i, data_mask, redundant_mask,
                                 width, prev, total, peak, per_line);
 }

@@ -159,20 +159,25 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
       std::min<std::size_t>(chunk_size, std::max<std::size_t>(length, 1));
   std::vector<BusAccess> rows;  // allocated only if a chunk needs copying
   std::vector<BusState> out(chunk);
+  std::vector<Word> decoded(verify_decode ? chunk : 0);
   std::size_t chunks = 0;
   std::size_t columnar_chunks = 0;
 
   std::size_t offset = 0;
   while (offset < length) {
-    // One view over either layout: columnar sources (the mmap trace
-    // reader, ColumnarTraceSource) expose their storage in place; any
-    // other source is copied out via Read() and read as BusAccess rows.
+    // One view over either layout, read in place where the source can
+    // share its storage: columns (the mmap trace reader,
+    // ColumnarTraceSource) or BusAccess rows (SpanTraceSource). Any
+    // other source is copied out via Read() and read as rows.
     TraceColumns columns;
+    const BusAccess* in_place = nullptr;
     std::size_t n = source.ViewColumns(offset, chunk, &columns);
     AccessView view;
     if (n != 0) {
       view = AccessView::Columns(columns.addresses, columns.sel);
       ++columnar_chunks;
+    } else if ((n = source.ViewRows(offset, chunk, &in_place)) != 0) {
+      view = AccessView::Rows(in_place);
     } else {
       if (rows.empty()) rows.resize(chunk);
       n = source.Read(offset, rows);
@@ -183,11 +188,13 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
     codec.EncodeBatch(view, n, states);
     accumulator.Consume(states, view.addresses);
     if (verify_decode) {
+      // Decode the chunk in one call, then compare one column; the
+      // first mismatch throws Evaluate()'s message at the same index.
+      codec.DecodeBatch(view, states, decoded);
       for (std::size_t i = 0; i < n; ++i) {
-        const Word decoded = codec.Decode(states[i], view.sel_at(i));
         const Word expected = view.address(i) & mask;
-        if (decoded != expected) {
-          ThrowDecodeMismatch(codec, decoded, expected);
+        if (decoded[i] != expected) {
+          ThrowDecodeMismatch(codec, decoded[i], expected);
         }
       }
     }

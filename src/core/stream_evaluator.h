@@ -74,10 +74,12 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
 /// chunks — Codec::EncodeBatch per chunk (one virtual dispatch per
 /// chunk; the high-traffic codes install SIMD kernels), then the
 /// BlockTransitionAccumulator's word-parallel XOR+popcount sweep over
-/// the encoded block (core/codec_kernel.h). Columnar sources are read in
-/// place through TraceSource::ViewColumns; any other source is copied
-/// out chunk by chunk via Read(). A materialized stream enters through
-/// SpanTraceSource.
+/// the encoded block (core/codec_kernel.h), then, with `verify_decode`,
+/// Codec::DecodeBatch over the chunk and one column compare. Columnar
+/// sources are read in place through TraceSource::ViewColumns and row
+/// sources (a materialized stream, which enters through
+/// SpanTraceSource) through TraceSource::ViewRows; any other source is
+/// copied out chunk by chunk via Read().
 ///
 /// Bit-identity guarantee: for every chunk size the returned EvalResult
 /// is *identical* to Evaluate() on the same stream — transitions, peak,

@@ -64,6 +64,10 @@ class T0Codec final : public Codec {
     dec_prev_addr_ = b;
     return b;
   }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
+  }
 
   void Reset() override {
     enc_has_prev_ = false;

@@ -54,6 +54,14 @@ class T0BICodec final : public Codec {
     return out;
   }
 
+  // The bus-invert decision feeds one cycle's popcount into the next, so
+  // the one-pass recurrence stays; the batch paths only drop the
+  // per-word virtual call.
+  void EncodeBatch(AccessView in, std::size_t n,
+                   std::span<BusState> out) override {
+    EncodeEach(*this, in, n, out);
+  }
+
   Word Decode(const BusState& bus, bool /*sel*/) override {
     Word b;
     if (bus.redundant & kIncBit) {
@@ -65,6 +73,10 @@ class T0BICodec final : public Codec {
     }
     dec_prev_addr_ = b;
     return b;
+  }
+  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+                   std::span<Word> out) override {
+    DecodeEach(*this, in, bus, out);
   }
 
   void Reset() override {

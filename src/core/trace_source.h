@@ -60,11 +60,25 @@ class TraceSource {
     (void)columns;
     return 0;
   }
+
+  /// Zero-copy row access, for sources whose storage is a contiguous
+  /// BusAccess array: point `*rows` at up to `max_len` accesses starting
+  /// at `offset` and return how many, or 0 when the source holds no such
+  /// array (callers then try ViewColumns, then Read). The same lifetime
+  /// and bit-identity rules as ViewColumns apply.
+  virtual std::size_t ViewRows(std::size_t offset, std::size_t max_len,
+                               const BusAccess** rows) const {
+    (void)offset;
+    (void)max_len;
+    (void)rows;
+    return 0;
+  }
 };
 
 /// Non-owning TraceSource over a contiguous BusAccess sequence — the
 /// adapter for every caller that already holds a materialized stream.
-/// The viewed storage must outlive the source.
+/// The viewed storage must outlive the source; ViewRows hands it out in
+/// place.
 class SpanTraceSource final : public TraceSource {
  public:
   explicit SpanTraceSource(std::span<const BusAccess> accesses)
@@ -80,6 +94,14 @@ class SpanTraceSource final : public TraceSource {
                               : accesses_.size() - offset;
     for (std::size_t i = 0; i < n; ++i) out[i] = accesses_[offset + i];
     return n;
+  }
+
+  std::size_t ViewRows(std::size_t offset, std::size_t max_len,
+                       const BusAccess** rows) const override {
+    if (offset >= accesses_.size()) return 0;
+    *rows = accesses_.data() + offset;
+    return max_len < accesses_.size() - offset ? max_len
+                                               : accesses_.size() - offset;
   }
 
  private:

@@ -186,9 +186,10 @@ std::optional<PropertyFailure> CheckDecoderLockstep(
   const CodecPtr encoder = factory(codec_name, options);
   const CodecPtr decoder = factory(codec_name, options);
   const Word mask = LowMask(encoder->width());
+  std::vector<BusState> wire(stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const BusState state = encoder->Encode(stream[i].address, stream[i].sel);
-    const Word split = decoder->Decode(state, stream[i].sel);
+    wire[i] = encoder->Encode(stream[i].address, stream[i].sel);
+    const Word split = decoder->Decode(wire[i], stream[i].sel);
     const Word expected = stream[i].address & mask;
     if (split != expected) {
       return PropertyFailure{
@@ -197,6 +198,35 @@ std::optional<PropertyFailure> CheckDecoderLockstep(
                  HexWord(split) + ", expected " + HexWord(expected) +
                  " at access " + std::to_string(i) +
                  " — decoder state no longer mirrors the encoder"};
+    }
+  }
+  // A third end decodes the same wire through DecodeBatch, alternating
+  // batched and per-word chunks, so its state must carry across both.
+  const std::size_t chunk_sizes[] = {1, 7, 64, stream.size() + 1};
+  std::vector<Word> decoded(stream.size());
+  for (const std::size_t chunk : chunk_sizes) {
+    const CodecPtr batched = factory(codec_name, options);
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - at);
+      if ((at / chunk) % 2 == 0) {
+        batched->DecodeBatch(AccessView::Rows(stream.data() + at),
+                             std::span(wire).subspan(at, n),
+                             std::span(decoded).subspan(at, n));
+      } else {
+        for (std::size_t i = at; i < at + n; ++i) {
+          decoded[i] = batched->Decode(wire[i], stream[i].sel);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Word expected = stream[i].address & mask;
+      if (decoded[i] != expected) {
+        return PropertyFailure{
+            i, codec_name + ": batched decoder (DecodeBatch, chunk size " +
+                   std::to_string(chunk) + ") recovered " +
+                   HexWord(decoded[i]) + ", expected " + HexWord(expected) +
+                   " at access " + std::to_string(i)};
+      }
     }
   }
   return std::nullopt;

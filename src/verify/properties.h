@@ -67,7 +67,10 @@ std::optional<PropertyFailure> CheckTransitionAccounting(
 /// decoder that peeks at encoder-side state (updated by Encode) passes
 /// it; here the two ends live in different objects, exactly like the
 /// two ends of a real bus, so their codebooks must stay equal using
-/// nothing but the wire states.
+/// nothing but the wire states. A third instance decodes the same wire
+/// through DecodeBatch at chunk sizes 1, 7, 64 and length + 1, every
+/// other chunk through per-word Decode, and must recover the same
+/// addresses (the DecodeBatch contract, core/codec.h).
 std::optional<PropertyFailure> CheckDecoderLockstep(
     const std::string& codec_name, const CodecOptions& options,
     std::span<const BusAccess> stream, const CodecFactoryFn& factory);

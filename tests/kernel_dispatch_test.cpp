@@ -3,10 +3,13 @@
 // misconfigured ABENC_KERNEL values, the guard that a compiled-in ISA
 // backend the host can execute is never silently left unselected, and
 // the per-backend bit-identity sweep that EvaluateBatched must pass
-// over both the BusAccess span path and the zero-copy columnar path.
+// over both the BusAccess span path and the zero-copy columnar path,
+// and the transition sweep against the scalar reference at its edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -162,6 +165,86 @@ TEST(KernelDispatchTest, EveryBackendIsBitIdenticalOnEveryCodec) {
             EvaluateBatched(*MakeCodec(codec_name, options), columnar,
                             options.stride, true),
             context + " columnar");
+      }
+    }
+  }
+}
+
+// One sweep's outputs, starting from arbitrary carried-in values so the
+// kernels must accumulate into them rather than overwrite.
+struct SweepState {
+  BusState prev{0x0123456789ABCDEFULL, 0x5};
+  long long total = 11;
+  int peak = 2;
+  std::vector<long long> per_line;
+
+  bool operator==(const SweepState&) const = default;
+};
+
+// Seeded random states: a quarter of the cycles toggle every line (so a
+// byte counter can fill to its flush bound), a quarter toggle none, the
+// rest are random words with bits past every mask set.
+std::vector<BusState> RandomStates(std::size_t n, std::mt19937_64& rng) {
+  std::vector<BusState> states(n);
+  BusState last{};
+  for (BusState& state : states) {
+    switch (rng() % 4) {
+      case 0:
+        state = BusState{~last.lines, ~last.redundant};
+        break;
+      case 1:
+        state = last;
+        break;
+      default:
+        state = BusState{rng(), rng()};
+    }
+    last = state;
+  }
+  return states;
+}
+
+TEST(KernelDispatchTest, SweepMatchesScalarAtEveryEdge) {
+  std::mt19937_64 rng(0x5EE9);
+  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                 1019, 1020, 1021, 4096};
+  for (const unsigned width : {1u, 31u, 32u, 33u, 63u, 64u}) {
+    for (const unsigned redundant_lines : {0u, 1u, 2u, 3u}) {
+      const Word data_mask = LowMask(width);
+      const Word redundant_mask = LowMask(redundant_lines);
+      for (const std::size_t n : lengths) {
+        const std::vector<BusState> states = RandomStates(n, rng);
+        SweepState reference;
+        reference.per_line.assign(width + redundant_lines, 3);
+        SweepState start = reference;
+        simd::detail::TransitionSweepScalar(
+            states.data(), n, data_mask, redundant_mask, width,
+            &reference.prev, &reference.total, &reference.peak,
+            reference.per_line.data());
+        for (simd::KernelBackend backend : simd::SupportedBackends()) {
+          const simd::ScopedKernelBackend scoped(backend);
+          const simd::TransitionSweepFn sweep = simd::ActiveKernels().sweep;
+          const std::string context =
+              std::string(simd::BackendName(backend)) + " width " +
+              std::to_string(width) + " redundant " +
+              std::to_string(redundant_lines) + " length " +
+              std::to_string(n);
+          SweepState whole = start;
+          sweep(states.data(), n, data_mask, redundant_mask, width,
+                &whole.prev, &whole.total, &whole.peak,
+                whole.per_line.data());
+          EXPECT_EQ(whole, reference) << context << " in one call";
+          // Chunks of 1-300 states, the previous state carried across.
+          SweepState chunked = start;
+          for (std::size_t at = 0; at < n;) {
+            const std::size_t len =
+                std::min<std::size_t>(1 + rng() % 300, n - at);
+            sweep(states.data() + at, len, data_mask, redundant_mask, width,
+                  &chunked.prev, &chunked.total, &chunked.peak,
+                  chunked.per_line.data());
+            at += len;
+          }
+          EXPECT_EQ(chunked, reference) << context << " in chunks";
+        }
       }
     }
   }

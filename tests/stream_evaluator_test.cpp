@@ -152,10 +152,12 @@ TEST(EvaluateBatchedTest, TraceSourceOverloadMatchesSpanOverload) {
 
 TEST(EvaluateBatchedTest, VerifyDecodeCatchesBrokenCodecOnBatchedPath) {
   // The deferred per-chunk decode check must still fire, with the same
-  // exception type the per-word path throws.
+  // exception type and message the per-word path throws: the first
+  // lie's decoded and expected words, whatever the chunking.
   class LyingCodec final : public Codec {
    public:
-    explicit LyingCodec(unsigned width) : Codec(width) {}
+    LyingCodec(unsigned width, std::size_t lie_from)
+        : Codec(width), lie_from_(lie_from) {}
     std::string name() const override { return "lying"; }
     std::string display_name() const override { return "Lying"; }
     unsigned redundant_lines() const override { return 0; }
@@ -163,15 +165,85 @@ TEST(EvaluateBatchedTest, VerifyDecodeCatchesBrokenCodecOnBatchedPath) {
       return BusState{Mask(address), 0};
     }
     Word Decode(const BusState& bus, bool) override {
-      return Mask(bus.lines + 1);  // off by one
+      // Off by one from decode `lie_from` on.
+      return Mask(bus.lines + (decodes_++ >= lie_from_ ? 1 : 0));
     }
-    void Reset() override {}
+    void Reset() override { decodes_ = 0; }
+
+   private:
+    std::size_t lie_from_;
+    std::size_t decodes_ = 0;
   };
-  LyingCodec codec(16);
+  LyingCodec codec(16, 0);
   const std::vector<BusAccess> stream = {{1, true}, {2, true}};
   const SpanTraceSource source(stream);
   EXPECT_THROW(EvaluateBatched(codec, source, 4, true), std::logic_error);
   EXPECT_NO_THROW(EvaluateBatched(codec, source, 4, false));
+
+  std::vector<BusAccess> longer;
+  for (Word i = 0; i < 40; ++i) longer.push_back({0x100 + 4 * i, i % 3 != 0});
+  const auto message_of = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const std::logic_error& error) {
+      return error.what();
+    }
+    return "no throw";
+  };
+  LyingCodec per_word(16, 13);
+  const std::string expected =
+      message_of([&] { Evaluate(per_word, longer, 4, true); });
+  EXPECT_EQ(expected, "lying: decode mismatch, got 0x135 expected 0x134");
+  for (const std::size_t chunk : {1, 7, 4096}) {
+    LyingCodec batched(16, 13);
+    EXPECT_EQ(message_of([&] {
+                EvaluateBatched(batched, SpanTraceSource(longer), 4, true,
+                                chunk);
+              }),
+              expected)
+        << "chunk size " << chunk;
+  }
+}
+
+TEST(EvaluateBatchedTest, RowSourcesAreReadInPlace) {
+  // A source that shares its BusAccess rows through ViewRows is never
+  // copied: this one's Read() throws, yet every codec's result equals
+  // per-word Evaluate.
+  class RowsOnlySource final : public TraceSource {
+   public:
+    explicit RowsOnlySource(std::span<const BusAccess> rows) : rows_(rows) {}
+    std::size_t size() const override { return rows_.size(); }
+    std::size_t Read(std::size_t, std::span<BusAccess>) const override {
+      throw std::logic_error("RowsOnlySource: rows were copied");
+    }
+    std::size_t ViewRows(std::size_t offset, std::size_t max_len,
+                         const BusAccess** rows) const override {
+      return SpanTraceSource(rows_).ViewRows(offset, max_len, rows);
+    }
+
+   private:
+    std::span<const BusAccess> rows_;
+  };
+  const std::vector<BusAccess> stream = MixedStream(1000);
+  const RowsOnlySource source(stream);
+  const CodecOptions options;
+  for (const std::string& name : AllCodecNames()) {
+    const EvalResult reference =
+        Evaluate(*MakeCodec(name, options), stream, 4, true);
+    for (const std::size_t chunk : {7, 0}) {
+      ExpectIdenticalResults(
+          reference,
+          EvaluateBatched(*MakeCodec(name, options), source, 4, true, chunk),
+          name + " read in place at chunk size " + std::to_string(chunk));
+    }
+  }
+
+  // SpanTraceSource hands out its own storage, clamped to the stream.
+  const SpanTraceSource span(stream);
+  const BusAccess* rows = nullptr;
+  EXPECT_EQ(span.ViewRows(990, 64, &rows), 10u);
+  EXPECT_EQ(rows, stream.data() + 990);
+  EXPECT_EQ(span.ViewRows(stream.size(), 64, &rows), 0u);
 }
 
 // Drives BlockTransitionAccumulator the way a service session does: a
