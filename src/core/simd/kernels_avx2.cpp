@@ -16,9 +16,10 @@
 // bus-invert's majority decision feeds back through a popcount and
 // stays scalar in this table too — documented, not hidden.
 //
-// The transition sweep packs each cycle's data and redundant diffs into
-// one word (line j at bit j) and counts it three ways: hardware POPCNT
-// for the total and the peak, and one byte counter per line for the
+// The transition sweep diffs each state against the one before it, read
+// by an unaligned load one state back, and packs the data and redundant
+// diffs into one word (line j at bit j). Hardware POPCNT of that word
+// gives the total and the peak; one byte counter per line gives the
 // histogram — each bit expanded to a byte lane (vpshufb, then vpcmpeqb
 // against 0x8040...01) and accumulated with vpsubb, widened into the
 // per-line totals every 252 cycles. Geometries wider than 64 packed
@@ -66,17 +67,6 @@ inline void StoreStates4(BusState* out, std::size_t i, __m256i lines,
   _mm256_storeu_si256(p + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
 }
 
-// Deinterleave two state vectors [l0 r0 l1 r1][l2 r2 l3 r3] into
-// [l0 l1 l2 l3] / [r0 r1 r2 r3].
-inline __m256i GatherLines(__m256i a, __m256i b) {
-  return _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-inline __m256i GatherRedundant(__m256i a, __m256i b) {
-  return _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
 // [prev, x0, x1, x2]: the lane-shifted vector serial recurrences need.
 inline __m256i ShiftInPrev(__m256i x, __m256i prev_broadcast) {
   const __m256i rot =
@@ -94,15 +84,15 @@ inline Word Lane3(__m256i x) {
 // kFlushCycles cycles before Flush widens it into the per-line totals.
 struct ByteCounters {
   // Byte k of a 128-bit lane selects byte k / 8 of the broadcast word
-  // (low: bytes 0-3, high: bytes 4-7); kBit then isolates bit k % 8.
+  // (low: bytes 0-3, high: bytes 4-7); `bit` then isolates bit k % 8.
   const __m256i low_bytes = _mm256_setr_epi8(
       0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
       2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
   const __m256i high_bytes = _mm256_setr_epi8(
       4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,
       6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7);
-  const __m256i bit = _mm256_set1_epi64x(
-      static_cast<long long>(0x8040201008040201ULL));
+  const __m256i bit =
+      _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
   __m256i low = _mm256_setzero_si256();
   __m256i high = _mm256_setzero_si256();
 
@@ -111,10 +101,10 @@ struct ByteCounters {
   void Add(const Word* packed) {
     const __m256i word = _mm256_broadcastq_epi64(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(packed)));
-    const __m256i lo = _mm256_and_si256(_mm256_shuffle_epi8(word, low_bytes),
-                                        bit);
-    const __m256i hi = _mm256_and_si256(
-        _mm256_shuffle_epi8(word, high_bytes), bit);
+    const __m256i lo =
+        _mm256_and_si256(_mm256_shuffle_epi8(word, low_bytes), bit);
+    const __m256i hi =
+        _mm256_and_si256(_mm256_shuffle_epi8(word, high_bytes), bit);
     low = _mm256_sub_epi8(low, _mm256_cmpeq_epi8(lo, bit));
     high = _mm256_sub_epi8(high, _mm256_cmpeq_epi8(hi, bit));
   }
@@ -123,7 +113,9 @@ struct ByteCounters {
     alignas(32) std::uint8_t counts[2 * sizeof(__m256i)];
     _mm256_store_si256(reinterpret_cast<__m256i*>(counts), low);
     _mm256_store_si256(reinterpret_cast<__m256i*>(counts) + 1, high);
-    for (unsigned line = 0; line < lines; ++line) per_line[line] += counts[line];
+    for (unsigned line = 0; line < lines; ++line) {
+      per_line[line] += counts[line];
+    }
     low = _mm256_setzero_si256();
     high = _mm256_setzero_si256();
   }
@@ -288,9 +280,9 @@ void TransitionSweepAvx2(const BusState* states, std::size_t n, Word data_mask,
   // back.
   detail::TransitionSweepScalar(states, 1, data_mask, redundant_mask, width,
                                 prev, total, peak, per_line);
-  const __m256i masks = _mm256_setr_epi64x(
-      static_cast<long long>(data_mask), static_cast<long long>(redundant_mask),
-      static_cast<long long>(data_mask), static_cast<long long>(redundant_mask));
+  const long long dmask = static_cast<long long>(data_mask);
+  const long long rmask = static_cast<long long>(redundant_mask);
+  const __m256i masks = _mm256_setr_epi64x(dmask, rmask, dmask, rmask);
   // A shift count of 64 (width 64, no redundant lines) yields zero.
   const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(width));
   long long t = *total;

@@ -64,8 +64,8 @@ class TraceSource {
   /// Zero-copy row access, for sources whose storage is a contiguous
   /// BusAccess array: point `*rows` at up to `max_len` accesses starting
   /// at `offset` and return how many, or 0 when the source holds no such
-  /// array (callers then try ViewColumns, then Read). The same lifetime
-  /// and bit-identity rules as ViewColumns apply.
+  /// array (callers then fall back to Read()). The same lifetime and
+  /// bit-identity rules as ViewColumns apply.
   virtual std::size_t ViewRows(std::size_t offset, std::size_t max_len,
                                const BusAccess** rows) const {
     (void)offset;

@@ -181,24 +181,22 @@ struct SweepState {
   bool operator==(const SweepState&) const = default;
 };
 
-// Seeded random states: a quarter of the cycles toggle every line (so a
-// byte counter can fill to its flush bound), a quarter toggle none, the
-// rest are random words with bits past every mask set.
+// Seeded random states in runs of up to 600 cycles. A run toggles every
+// line each cycle (so a byte counter fills to its flush bound), holds
+// the bus still, or draws random words with bits past every mask set.
 std::vector<BusState> RandomStates(std::size_t n, std::mt19937_64& rng) {
   std::vector<BusState> states(n);
   BusState last{};
-  for (BusState& state : states) {
-    switch (rng() % 4) {
-      case 0:
-        state = BusState{~last.lines, ~last.redundant};
-        break;
-      case 1:
-        state = last;
-        break;
-      default:
-        state = BusState{rng(), rng()};
+  for (std::size_t i = 0; i < n;) {
+    const std::uint64_t mode = rng() % 3;
+    for (std::size_t end = std::min(n, i + 1 + rng() % 600); i < end; ++i) {
+      if (mode == 0) {
+        last = BusState{~last.lines, ~last.redundant};
+      } else if (mode == 2) {
+        last = BusState{rng(), rng()};
+      }
+      states[i] = last;
     }
-    last = state;
   }
   return states;
 }
