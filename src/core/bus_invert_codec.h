@@ -102,9 +102,16 @@ class BusInvertCodec final : public Codec {
     }
     return Mask(b);
   }
+  // Single-partition decode goes through the dispatch table's kernel;
+  // multi-partition slices reuse the per-word member logic.
   void DecodeBatch(AccessView in, std::span<const BusState> bus,
                    std::span<Word> out) override {
-    DecodeEach(*this, in, bus, out);
+    if (partitions_ != 1) {
+      DecodeEach(*this, in, bus, out);
+      return;
+    }
+    simd::ActiveKernels().bus_invert_decode(bus.data(), bus.size(),
+                                            LowMask(width()), out.data());
   }
 
   void Reset() override { prev_ = BusState{}; }

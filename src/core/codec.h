@@ -128,9 +128,11 @@ class Codec {
   /// DecodeBatch returns exactly what bus.size() successive Decode()
   /// calls would, and leaves the decoder-side state identical, so any
   /// chunking mixed freely with Decode recovers the same addresses. The
-  /// base implementation loops the virtual Decode; binary, Gray,
-  /// bus-invert, T0, T0_BI, dual T0 and dual T0_BI override it with
-  /// DecodeEach, their own Decode inlined into one loop.
+  /// base implementation loops the virtual Decode. Gray and
+  /// single-partition bus-invert, whose decoders keep no state, override
+  /// it with the SIMD dispatch kernels; binary, multi-partition
+  /// bus-invert, T0, T0_BI, dual T0 and dual T0_BI with DecodeEach, their
+  /// own Decode inlined into one loop.
   virtual void DecodeBatch(AccessView in, std::span<const BusState> bus,
                            std::span<Word> out) {
     for (std::size_t i = 0; i < bus.size(); ++i) {
@@ -154,6 +156,39 @@ class Codec {
 
 using CodecPtr = std::unique_ptr<Codec>;
 
+namespace detail {
+
+// The loops behind EncodeEach/DecodeEach, out of line, with the codec,
+// the input columns and the output as restrict-qualified pointers: a
+// store to `out` then cannot alias the codec's own registers, so the
+// compiler keeps them in machine registers for the whole loop instead of
+// storing and reloading them every word.
+template <class FinalCodec>
+[[gnu::noinline]] void EncodeEachLoop(FinalCodec* __restrict codec,
+                                      const Word* __restrict addresses,
+                                      std::size_t address_step,
+                                      const std::uint8_t* __restrict sel,
+                                      std::size_t sel_step, std::size_t n,
+                                      BusState* __restrict out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = codec->Encode(addresses[address_step * i],
+                           sel[sel_step * i] != 0);
+  }
+}
+
+template <class FinalCodec>
+[[gnu::noinline]] void DecodeEachLoop(FinalCodec* __restrict codec,
+                                      const BusState* __restrict bus,
+                                      const std::uint8_t* __restrict sel,
+                                      std::size_t sel_step, std::size_t n,
+                                      Word* __restrict out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = codec->Decode(bus[i], sel[sel_step * i] != 0);
+  }
+}
+
+}  // namespace detail
+
 /// The per-word loops of the Codec base class, over a final codec's own
 /// Encode/Decode: the static type names the final overrider, so the
 /// compiler calls it directly and can inline it — one virtual dispatch
@@ -165,9 +200,8 @@ void EncodeEach(FinalCodec& codec, AccessView in, std::size_t n,
                 std::span<BusState> out) {
   static_assert(std::is_final_v<FinalCodec>,
                 "EncodeEach devirtualizes only a final codec's Encode");
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = codec.Encode(in.address(i), in.sel_at(i));
-  }
+  detail::EncodeEachLoop(&codec, in.addresses.addr, in.addresses.step, in.sel,
+                         in.sel_step, n, out.data());
 }
 
 template <class FinalCodec>
@@ -175,9 +209,8 @@ void DecodeEach(FinalCodec& codec, AccessView in,
                 std::span<const BusState> bus, std::span<Word> out) {
   static_assert(std::is_final_v<FinalCodec>,
                 "DecodeEach devirtualizes only a final codec's Decode");
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    out[i] = codec.Decode(bus[i], in.sel_at(i));
-  }
+  detail::DecodeEachLoop(&codec, bus.data(), in.sel, in.sel_step, bus.size(),
+                         out.data());
 }
 
 }  // namespace abenc

@@ -32,35 +32,63 @@ void RecordCellMetrics(obs::MetricsRegistry& registry,
 }
 
 // Runs one codec over one stream through the batched path,
-// decode-verified.
+// decode-verified; `count_in_sequence` false skips the in-sequence count
+// (see EvaluateCell).
 EvalResult EvaluateStream(Codec& codec, const NamedStream& stream,
-                          const CodecOptions& options) {
+                          const CodecOptions& options,
+                          bool count_in_sequence = true) {
   if (stream.source) {
-    return EvaluateBatched(codec, *stream.source, options.stride,
-                           /*verify_decode=*/true);
+    return detail::EvaluateBatched(codec, *stream.source, options.stride,
+                                   /*verify_decode=*/true, 0,
+                                   count_in_sequence);
   }
-  return EvaluateBatched(codec, SpanTraceSource(stream.accesses),
-                         options.stride, /*verify_decode=*/true);
+  return detail::EvaluateBatched(codec, SpanTraceSource(stream.accesses),
+                                 options.stride, /*verify_decode=*/true, 0,
+                                 count_in_sequence);
 }
+
+// One evaluated cell, and whether its in-sequence percentage is still to
+// be taken from the row's binary reference.
+struct PendingCell {
+  ComparisonCell cell;
+  bool in_sequence_from_reference = false;
+};
 
 // One (stream, codec) cell from codec reset, decode-verified. Shared by
 // the sequential and parallel paths so both compute bit-identical cells.
-ComparisonCell EvaluateCell(
+// The in-sequence count depends only on the stream, the stride and the
+// width, so a codec as wide as the binary reference (options.width)
+// skips it and FinishCell copies the reference's figure: the same
+// count over the same length, hence the same double.
+PendingCell EvaluateCell(
     const std::string& codec_name, const NamedStream& stream,
     const CodecOptions& options,
     const std::function<void(const std::string&, CodecOptions&)>& configure) {
   CodecOptions codec_options = options;
   if (configure) configure(codec_name, codec_options);
   auto codec = MakeCodec(codec_name, codec_options);
-  ComparisonCell cell;
+  PendingCell pending;
+  pending.in_sequence_from_reference = codec->width() == options.width;
   obs::MetricsRegistry* registry = obs::Installed();
   const double start = registry ? obs::MonotonicSeconds() : 0.0;
-  cell.result = EvaluateStream(*codec, stream, options);
+  pending.cell.result = EvaluateStream(*codec, stream, options,
+                                       !pending.in_sequence_from_reference);
   if (registry) {
-    RecordCellMetrics(*registry, codec_name, cell.result,
+    RecordCellMetrics(*registry, codec_name, pending.cell.result,
                       obs::MonotonicSeconds() - start);
   }
-  return cell;
+  return pending;
+}
+
+// Completes a cell against its row's binary reference.
+ComparisonCell FinishCell(PendingCell pending, const EvalResult& binary) {
+  ComparisonCell& cell = pending.cell;
+  if (pending.in_sequence_from_reference) {
+    cell.result.in_sequence_percent = binary.in_sequence_percent;
+  }
+  cell.savings_percent =
+      SavingsPercent(cell.result.transitions, binary.transitions);
+  return std::move(cell);
 }
 
 EvalResult EvaluateBinaryReference(const NamedStream& stream,
@@ -88,10 +116,8 @@ Comparison RunComparisonSequential(
     row.stream_name = stream.name;
     row.binary = EvaluateBinaryReference(stream, options);
     for (const std::string& name : codec_names) {
-      ComparisonCell cell = EvaluateCell(name, stream, options, configure);
-      cell.savings_percent =
-          SavingsPercent(cell.result.transitions, row.binary.transitions);
-      row.cells.push_back(std::move(cell));
+      row.cells.push_back(FinishCell(
+          EvaluateCell(name, stream, options, configure), row.binary));
     }
     comparison.rows.push_back(std::move(row));
   }
@@ -126,7 +152,7 @@ Comparison RunComparisonParallel(
   };
 
   std::vector<std::future<EvalResult>> binary_futures;
-  std::vector<std::future<ComparisonCell>> cell_futures;
+  std::vector<std::future<PendingCell>> cell_futures;
   binary_futures.reserve(streams.size());
   cell_futures.reserve(streams.size() * codec_names.size());
   {
@@ -170,11 +196,11 @@ Comparison RunComparisonParallel(
     ComparisonRow& row = comparison.rows[s];
     row.stream_name = streams[s].name;
     harvest(binary_futures[s], row.binary);
-    row.cells.resize(codec_names.size());
+    row.cells.reserve(codec_names.size());
     for (std::size_t c = 0; c < codec_names.size(); ++c, ++cell_index) {
-      harvest(cell_futures[cell_index], row.cells[c]);
-      row.cells[c].savings_percent = SavingsPercent(
-          row.cells[c].result.transitions, row.binary.transitions);
+      PendingCell pending;
+      harvest(cell_futures[cell_index], pending);
+      row.cells.push_back(FinishCell(std::move(pending), row.binary));
     }
   }
   if (first_failure) std::rethrow_exception(first_failure);

@@ -55,9 +55,13 @@ class GrayCodec final : public Codec {
     const Word word_part = shift_ >= 64 ? 0 : (g >> shift_);
     return Mask((GrayToBinary(word_part) << shift_) | low);
   }
-  void DecodeBatch(AccessView in, std::span<const BusState> bus,
+  // The decode kernel, with the same mask pair: stateless, like Decode.
+  void DecodeBatch(AccessView /*in*/, std::span<const BusState> bus,
                    std::span<Word> out) override {
-    DecodeEach(*this, in, bus, out);
+    const Word low_mask = LowMask(shift_);
+    simd::ActiveKernels().gray_decode(bus.data(), bus.size(), low_mask,
+                                      LowMask(width()) & ~low_mask,
+                                      out.data());
   }
 
   void Reset() override {}

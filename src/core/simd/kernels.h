@@ -1,16 +1,19 @@
 // The SIMD kernel layer: one table of block kernels per ISA backend.
 //
 // Every backend (scalar always; AVX2 on x86-64 hosts that report the
-// extension; NEON on aarch64) implements the same table: the six
-// high-traffic encode sweeps (binary, Gray, offset, T0, INC-XOR,
-// single-partition bus-invert), the XOR+popcount transition-accounting
-// sweep and the in-sequence counter. The scalar table is the reference;
-// every other backend is bit-identical to it by contract, enforced by
-// the `kernel-dispatch-identity` universal verify property,
+// extension; NEON on aarch64) implements the same table of ten entries:
+// the six high-traffic encode sweeps (binary, Gray, offset, T0, INC-XOR,
+// single-partition bus-invert), the decodes of the two codes whose
+// decoder keeps no state (Gray, single-partition bus-invert), the
+// XOR+popcount transition-accounting sweep and the in-sequence counter.
+// The scalar table is the reference; every other backend is
+// bit-identical to it by contract, enforced by the
+// `kernel-dispatch-identity` universal verify property,
 // tests/kernel_dispatch_test and the CI ISA-matrix byte-diff. Backend
 // selection lives in core/simd/kernel_dispatch.h. Codes without a
-// kernel — the paper's mixed codes among them — batch through
-// EncodeEach/DecodeEach (core/codec.h), and no table decodes yet.
+// kernel — the paper's mixed codes among them, and every decoder that
+// carries a register — batch through EncodeEach/DecodeEach
+// (core/codec.h).
 //
 // Kernels read addresses through a strided AddressView so the same
 // function serves both input layouts with zero copies: a raw columnar
@@ -77,6 +80,19 @@ using T0EncodeFn = void (*)(AddressView in, std::size_t n, Word mask,
 using BusInvertEncodeFn = void (*)(AddressView in, std::size_t n, Word mask,
                                    int width, BusState* prev, BusState* out);
 
+/// Stride-aware Gray decode, stateless: out[i] =
+/// (GrayToBinary(B & high_mask) & high_mask) | (B & low_mask) with
+/// B = in[i].lines — GrayCodec::Decode with its shift pair folded into
+/// the mask pair, as the encode kernel folds it.
+using GrayDecodeFn = void (*)(const BusState* in, std::size_t n,
+                              Word low_mask, Word high_mask, Word* out);
+
+/// Single-partition bus-invert decode, stateless (Eq. 2): the INV line
+/// (redundant bit 0) selects the polarity, out[i] =
+/// (INV ? ~B : B) & mask.
+using BusInvertDecodeFn = void (*)(const BusState* in, std::size_t n,
+                                   Word mask, Word* out);
+
 /// Transition accounting over a block of consecutive bus states:
 /// accumulate the total toggle count, the worst single-cycle count and
 /// the per-line histogram (data lines at [0, width), redundant lines at
@@ -105,6 +121,8 @@ struct KernelTable {
   IncXorEncodeFn inc_xor;
   T0EncodeFn t0;
   BusInvertEncodeFn bus_invert;
+  GrayDecodeFn gray_decode;
+  BusInvertDecodeFn bus_invert_decode;
   TransitionSweepFn sweep;
   InSeqCountFn in_seq;
 };
@@ -127,7 +145,8 @@ namespace detail {
 
 // The scalar kernels, exposed so SIMD backends can reuse them for the
 // sweeps whose recurrences do not vectorize (bus-invert's majority
-// decision) and for block tails.
+// decision), for block tails, and for the entries a backend has not
+// ported (NEON's decodes).
 void BinaryEncodeScalar(AddressView in, std::size_t n, Word mask,
                         BusState* out);
 void GrayEncodeScalar(AddressView in, std::size_t n, Word mask, Word low_mask,
@@ -141,6 +160,10 @@ void T0EncodeScalar(AddressView in, std::size_t n, Word mask, Word stride,
                     BusState* out);
 void BusInvertEncodeScalar(AddressView in, std::size_t n, Word mask, int width,
                            BusState* prev, BusState* out);
+void GrayDecodeScalar(const BusState* in, std::size_t n, Word low_mask,
+                      Word high_mask, Word* out);
+void BusInvertDecodeScalar(const BusState* in, std::size_t n, Word mask,
+                           Word* out);
 void TransitionSweepScalar(const BusState* states, std::size_t n,
                            Word data_mask, Word redundant_mask, unsigned width,
                            BusState* prev, long long* total, int* peak,

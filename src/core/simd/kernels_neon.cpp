@@ -6,7 +6,8 @@
 // and the transition sweep vectorize cleanly with two lanes (vld2q
 // deinterleaves BusAccess records for free, vcntq drives the popcount),
 // while T0's fill-forward and bus-invert's majority recurrence stay on
-// the scalar reference. Identity against the scalar table is enforced
+// the scalar reference, and so do the Gray and bus-invert decodes (not
+// ported yet). Identity against the scalar table is enforced
 // by the same property/tests as AVX2, run under qemu in the
 // cross-aarch64 CI job.
 #include "core/simd/kernels.h"
@@ -206,6 +207,10 @@ const KernelTable& NeonKernels() {
       // AVX2 table's bus-invert entry).
       detail::T0EncodeScalar,
       detail::BusInvertEncodeScalar,
+      // The decodes are not ported yet: both entries are the scalar
+      // references.
+      detail::GrayDecodeScalar,
+      detail::BusInvertDecodeScalar,
       TransitionSweepNeon,
       InSeqCountNeon,
   };

@@ -1,6 +1,7 @@
-// Scalar reference kernels: the codecs' original block-encode loops and the
-// XOR+popcount transition sweep, lifted verbatim so every SIMD backend
-// has a bit-exact oracle (and a tail/fallback) to defer to.
+// Scalar reference kernels: the codecs' original block-encode loops, the
+// stateless decodes and the XOR+popcount transition sweep, lifted
+// verbatim so every SIMD backend has a bit-exact oracle (and a
+// tail/fallback) to defer to.
 #include <bit>
 
 #include "core/simd/kernels.h"
@@ -88,6 +89,22 @@ void BusInvertEncodeScalar(AddressView in, std::size_t n, Word mask, int width,
   *prev = p;
 }
 
+void GrayDecodeScalar(const BusState* in, std::size_t n, Word low_mask,
+                      Word high_mask, Word* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Word g = in[i].lines;
+    out[i] = (GrayToBinary(g & high_mask) & high_mask) | (g & low_mask);
+  }
+}
+
+void BusInvertDecodeScalar(const BusState* in, std::size_t n, Word mask,
+                           Word* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Word b = in[i].lines;
+    out[i] = ((in[i].redundant & 1) != 0 ? ~b : b) & mask;
+  }
+}
+
 void TransitionSweepScalar(const BusState* states, std::size_t n,
                            Word data_mask, Word redundant_mask, unsigned width,
                            BusState* prev, long long* total, int* peak,
@@ -144,6 +161,8 @@ const KernelTable& ScalarKernels() {
       detail::IncXorEncodeScalar,
       detail::T0EncodeScalar,
       detail::BusInvertEncodeScalar,
+      detail::GrayDecodeScalar,
+      detail::BusInvertDecodeScalar,
       detail::TransitionSweepScalar,
       detail::InSeqCountScalar,
   };

@@ -23,6 +23,19 @@ namespace {
   throw std::logic_error(msg.str());
 }
 
+// OR of decoded[i] ^ (addresses[kStep * i] & mask) over a chunk: zero
+// iff every word decoded right. The step is a constant, so each layout's
+// loop vectorizes.
+template <std::size_t kStep>
+Word MismatchBits(const Word* decoded, const Word* addresses, std::size_t n,
+                  Word mask) {
+  Word bits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bits |= decoded[i] ^ (addresses[kStep * i] & mask);
+  }
+  return bits;
+}
+
 }  // namespace
 
 double SavingsPercent(long long transitions, long long binary_transitions) {
@@ -144,6 +157,15 @@ EvalResult EvaluateWithSchedule(const std::string& initial_codec,
 EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
                            Word stride_for_stats, bool verify_decode,
                            std::size_t chunk_size) {
+  return detail::EvaluateBatched(codec, source, stride_for_stats,
+                                 verify_decode, chunk_size,
+                                 /*count_in_sequence=*/true);
+}
+
+EvalResult detail::EvaluateBatched(Codec& codec, const TraceSource& source,
+                                   Word stride_for_stats, bool verify_decode,
+                                   std::size_t chunk_size,
+                                   bool count_in_sequence) {
   if (chunk_size == 0) chunk_size = kDefaultChunkSize;
   codec.Reset();
   const Word mask = LowMask(codec.width());
@@ -186,12 +208,23 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
     }
     const std::span<BusState> states(out.data(), n);
     codec.EncodeBatch(view, n, states);
-    accumulator.Consume(states, view.addresses);
+    if (count_in_sequence) {
+      accumulator.Consume(states, view.addresses);
+    } else {
+      accumulator.Consume(states);
+    }
     if (verify_decode) {
-      // Decode the chunk in one call, then compare one column; the
+      // Decode the chunk in one call and compare one column without a
+      // branch per word; only a chunk that differs is searched, so the
       // first mismatch throws Evaluate()'s message at the same index.
       codec.DecodeBatch(view, states, decoded);
-      for (std::size_t i = 0; i < n; ++i) {
+      const Word* addresses = view.addresses.addr;
+      ABENC_ASSERT(view.addresses.step == 1 || view.addresses.step == 2);
+      const Word bits =
+          view.addresses.step == 1
+              ? MismatchBits<1>(decoded.data(), addresses, n, mask)
+              : MismatchBits<2>(decoded.data(), addresses, n, mask);
+      for (std::size_t i = 0; bits != 0 && i < n; ++i) {
         const Word expected = view.address(i) & mask;
         if (decoded[i] != expected) {
           ThrowDecodeMismatch(codec, decoded[i], expected);

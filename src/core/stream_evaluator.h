@@ -75,11 +75,13 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
 /// chunk; the high-traffic codes install SIMD kernels), then the
 /// BlockTransitionAccumulator's word-parallel XOR+popcount sweep over
 /// the encoded block (core/codec_kernel.h), then, with `verify_decode`,
-/// Codec::DecodeBatch over the chunk and one column compare. Columnar
-/// sources are read in place through TraceSource::ViewColumns and row
-/// sources (a materialized stream, which enters through
-/// SpanTraceSource) through TraceSource::ViewRows; any other source is
-/// copied out chunk by chunk via Read().
+/// Codec::DecodeBatch over the chunk and one branch-free column compare
+/// (an OR-reduction of decoded ^ expected, searched for the first
+/// mismatch only when it reads nonzero). Columnar sources are read in
+/// place through TraceSource::ViewColumns and row sources (a
+/// materialized stream, which enters through SpanTraceSource) through
+/// TraceSource::ViewRows; any other source is copied out chunk by chunk
+/// via Read().
 ///
 /// Bit-identity guarantee: for every chunk size the returned EvalResult
 /// is *identical* to Evaluate() on the same stream — transitions, peak,
@@ -97,6 +99,19 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
                            Word stride_for_stats = 4,
                            bool verify_decode = false,
                            std::size_t chunk_size = 0);
+
+namespace detail {
+
+/// EvaluateBatched, with the in-sequence count optional: the entry the
+/// experiment engine shares with it. With `count_in_sequence` false the
+/// chunks skip the count and `in_sequence_percent` reads 0 — for a
+/// caller that already holds the figure of the same stream, stride and
+/// width (RunComparison takes it from the binary reference).
+EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
+                           Word stride_for_stats, bool verify_decode,
+                           std::size_t chunk_size, bool count_in_sequence);
+
+}  // namespace detail
 
 /// One entry of a session's codec-switch schedule: from lifetime access
 /// `index` onward the stream is encoded by `codec_name`, built fresh

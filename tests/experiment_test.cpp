@@ -1,7 +1,10 @@
 // Tests for the batch-comparison API.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/experiment.h"
+#include "core/trace_source.h"
 #include "trace/synthetic.h"
 
 namespace abenc {
@@ -66,6 +69,53 @@ TEST(ComparisonTest, ConfigureHookAdjustsPerCodecOptions) {
                     });
   EXPECT_LT(mismatched.rows[0].cells[0].savings_percent, 5.0);
   EXPECT_GT(fixed.rows[0].cells[0].savings_percent, 99.0);
+}
+
+TEST(ComparisonTest, InSequenceIsReusedOnlyAtTheReferenceWidth) {
+  // A cell as wide as the binary reference takes the reference's
+  // in-sequence percentage; a cell that `configure` narrows counts its
+  // own. The stream steps by the stride in its low 24 bits while its top
+  // byte moves every third access, so 24 and 32 bits disagree.
+  std::vector<BusAccess> accesses;
+  for (Word i = 0; i < 3000; ++i) {
+    accesses.push_back(
+        {(0x400000 + 4 * i) | (((i / 3) & 0xFF) << 24), i % 2 == 0});
+  }
+  const std::vector<NamedStream> streams = {
+      NamedStream{"rows", accesses},
+      NamedStream{"columns", {},
+                  std::make_shared<ColumnarTraceSource>(
+                      ColumnarTraceSource::FromAccesses(accesses))}};
+  const std::vector<std::string> names = {"gray",  "bus-invert", "t0",
+                                          "t0-bi", "dual-t0",    "dual-t0-bi"};
+  const CodecOptions options;  // 32 bits, stride 4
+  CodecOptions narrow = options;
+  narrow.width = 24;
+  const double own =
+      Evaluate(*MakeCodec("t0", narrow), accesses, options.stride)
+          .in_sequence_percent;
+  const double reference =
+      Evaluate(*MakeCodec("binary", options), accesses, options.stride)
+          .in_sequence_percent;
+  ASSERT_NE(own, reference);
+  for (const unsigned parallelism : {1u, 4u}) {
+    const Comparison comparison = RunComparison(
+        names, streams, options,
+        [](const std::string& name, CodecOptions& o) {
+          if (name == "t0") o.width = 24;
+        },
+        RunOptions{parallelism});
+    for (const ComparisonRow& row : comparison.rows) {
+      const std::string context =
+          row.stream_name + " at parallelism " + std::to_string(parallelism);
+      EXPECT_EQ(row.binary.in_sequence_percent, reference) << context;
+      for (std::size_t c = 0; c < names.size(); ++c) {
+        EXPECT_EQ(row.cells[c].result.in_sequence_percent,
+                  names[c] == "t0" ? own : reference)
+            << names[c] << ", " << context;
+      }
+    }
+  }
 }
 
 TEST(ComparisonTest, EmptyInputsProduceEmptyMatrix) {

@@ -4,17 +4,23 @@
 // backend the host can execute is never silently left unselected, and
 // the per-backend bit-identity sweep that EvaluateBatched must pass
 // over both the BusAccess span path and the zero-copy columnar path,
-// and the transition sweep against the scalar reference at its edges.
+// the transition sweep against the scalar reference at its edges, and
+// the decode kernels against per-word Decode at theirs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/bus_invert_codec.h"
 #include "core/codec_factory.h"
+#include "core/gray_codec.h"
 #include "core/simd/kernel_dispatch.h"
 #include "core/stream_evaluator.h"
 #include "core/trace_source.h"
@@ -182,8 +188,8 @@ struct SweepState {
 };
 
 // Seeded random states in runs of up to 600 cycles. A run toggles every
-// line each cycle (so a byte counter fills to its flush bound), holds
-// the bus still, or draws random words with bits past every mask set.
+// line each cycle, holds the bus still, or draws random words with bits
+// past every mask set.
 std::vector<BusState> RandomStates(std::size_t n, std::mt19937_64& rng) {
   std::vector<BusState> states(n);
   BusState last{};
@@ -201,16 +207,33 @@ std::vector<BusState> RandomStates(std::size_t n, std::mt19937_64& rng) {
   return states;
 }
 
+// States that toggle every line on every cycle: each per-line counter
+// of a sweep then rises by one per cycle, the fastest it can fill.
+std::vector<BusState> ToggleEveryLine(std::size_t n) {
+  std::vector<BusState> states(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    states[i] = BusState{~states[i - 1].lines, ~states[i - 1].redundant};
+  }
+  return states;
+}
+
 TEST(KernelDispatchTest, SweepMatchesScalarAtEveryEdge) {
   std::mt19937_64 rng(0x5EE9);
-  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
-                                 1019, 1020, 1021, 4096};
+  // Around the vector groups of 4 cycles and the AVX2 adder trees of 64
+  // (63-65, 127-129, 255-257), and around the AVX2 sixteens counters'
+  // flush bound: 63 trees, the 4032 cycles after the first state
+  // (4032-4034, and twice the bound at 8065-8066).
+  const std::size_t lengths[] = {0,    1,    2,    3,    4,    5,    6,
+                                 7,    8,    9,    63,   64,   65,   127,
+                                 128,  129,  255,  256,  257,  1019, 1020,
+                                 1021, 4032, 4033, 4034, 4096, 8065, 8066};
   for (const unsigned width : {1u, 31u, 32u, 33u, 63u, 64u}) {
     for (const unsigned redundant_lines : {0u, 1u, 2u, 3u}) {
       const Word data_mask = LowMask(width);
       const Word redundant_mask = LowMask(redundant_lines);
-      for (const std::size_t n : lengths) {
-        const std::vector<BusState> states = RandomStates(n, rng);
+      const auto check = [&](const std::vector<BusState>& states,
+                             const std::string& what) {
+        const std::size_t n = states.size();
         SweepState reference;
         reference.per_line.assign(width + redundant_lines, 3);
         SweepState start = reference;
@@ -224,7 +247,7 @@ TEST(KernelDispatchTest, SweepMatchesScalarAtEveryEdge) {
           const std::string context =
               std::string(simd::BackendName(backend)) + " width " +
               std::to_string(width) + " redundant " +
-              std::to_string(redundant_lines) + " length " +
+              std::to_string(redundant_lines) + " " + what + " length " +
               std::to_string(n);
           SweepState whole = start;
           sweep(states.data(), n, data_mask, redundant_mask, width,
@@ -239,6 +262,83 @@ TEST(KernelDispatchTest, SweepMatchesScalarAtEveryEdge) {
             sweep(states.data() + at, len, data_mask, redundant_mask, width,
                   &chunked.prev, &chunked.total, &chunked.peak,
                   chunked.per_line.data());
+            at += len;
+          }
+          EXPECT_EQ(chunked, reference) << context << " in chunks";
+        }
+      };
+      for (const std::size_t n : lengths) {
+        check(RandomStates(n, rng), "random");
+      }
+      // One run past twice the flush bound, so the counters fill to it.
+      check(ToggleEveryLine(8100), "every line toggling");
+    }
+  }
+}
+
+// Seeded bus states for the decoders, in runs of up to 600 cycles: random
+// words (bits past every mask set), INV asserted on every cycle, or every
+// line high.
+std::vector<BusState> DecodeStates(std::size_t n, std::mt19937_64& rng) {
+  std::vector<BusState> states(n);
+  for (std::size_t i = 0; i < n;) {
+    const std::uint64_t mode = rng() % 3;
+    for (std::size_t end = std::min(n, i + 1 + rng() % 600); i < end; ++i) {
+      states[i] = BusState{mode == 2 ? ~Word{0} : rng(),
+                           mode == 1 ? ~Word{0} : rng()};
+    }
+  }
+  return states;
+}
+
+TEST(KernelDispatchTest, DecodeMatchesPerWordAtEveryEdge) {
+  std::mt19937_64 rng(0xDEC0DE);
+  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1021, 4096};
+  for (const unsigned width : {1u, 31u, 32u, 33u, 63u, 64u}) {
+    std::vector<std::pair<std::string, std::function<CodecPtr()>>> codecs;
+    const std::set<Word> strides = {1, 2, 4, Word{1} << (width - 1)};
+    for (const Word stride : strides) {
+      if (Log2(stride) >= width) continue;
+      codecs.emplace_back("gray stride " + std::to_string(stride), [=] {
+        return std::make_unique<GrayCodec>(width, stride);
+      });
+    }
+    for (const unsigned partitions : {1u, 2u}) {
+      if (width % partitions != 0) continue;
+      codecs.emplace_back(
+          "bus-invert partitions " + std::to_string(partitions), [=] {
+            return std::make_unique<BusInvertCodec>(width, partitions);
+          });
+    }
+    for (const auto& [codec_name, make] : codecs) {
+      for (const std::size_t n : lengths) {
+        const std::vector<BusState> states = DecodeStates(n, rng);
+        std::vector<BusAccess> accesses(n);
+        for (BusAccess& access : accesses) access.sel = (rng() & 1) != 0;
+        const AccessView view =
+            n == 0 ? AccessView{} : AccessView::Rows(accesses.data());
+        std::vector<Word> reference(n);
+        const CodecPtr per_word = make();
+        for (std::size_t i = 0; i < n; ++i) {
+          reference[i] = per_word->Decode(states[i], accesses[i].sel);
+        }
+        for (simd::KernelBackend backend : simd::SupportedBackends()) {
+          const simd::ScopedKernelBackend scoped(backend);
+          const std::string context =
+              std::string(simd::BackendName(backend)) + " width " +
+              std::to_string(width) + " " + codec_name + " length " +
+              std::to_string(n);
+          std::vector<Word> whole(n, 0xBAD);
+          make()->DecodeBatch(view, states, whole);
+          EXPECT_EQ(whole, reference) << context << " in one call";
+          const CodecPtr codec = make();
+          std::vector<Word> chunked(n, 0xBAD);
+          for (std::size_t at = 0; at < n;) {
+            const std::size_t len =
+                std::min<std::size_t>(1 + rng() % 300, n - at);
+            codec->DecodeBatch(view.From(at),
+                               std::span(states).subspan(at, len),
+                               std::span(chunked).subspan(at, len));
             at += len;
           }
           EXPECT_EQ(chunked, reference) << context << " in chunks";

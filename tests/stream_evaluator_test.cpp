@@ -190,18 +190,31 @@ TEST(EvaluateBatchedTest, VerifyDecodeCatchesBrokenCodecOnBatchedPath) {
     }
     return "no throw";
   };
-  LyingCodec per_word(16, 13);
-  const std::string expected =
-      message_of([&] { Evaluate(per_word, longer, 4, true); });
-  EXPECT_EQ(expected, "lying: decode mismatch, got 0x135 expected 0x134");
-  for (const std::size_t chunk : {1, 7, 4096}) {
-    LyingCodec batched(16, 13);
-    EXPECT_EQ(message_of([&] {
-                EvaluateBatched(batched, SpanTraceSource(longer), 4, true,
-                                chunk);
-              }),
-              expected)
-        << "chunk size " << chunk;
+  LyingCodec lies_at_13(16, 13);
+  EXPECT_EQ(message_of([&] { Evaluate(lies_at_13, longer, 4, true); }),
+            "lying: decode mismatch, got 0x135 expected 0x134");
+  // Both layouts (rows and columns), lies at a chunk's first word, inside
+  // and at the end of a group of four, and at the stream's last word.
+  const ColumnarTraceSource columns = ColumnarTraceSource::FromAccesses(longer);
+  const SpanTraceSource rows(longer);
+  for (const std::size_t lie_from : {0, 3, 4, 13, 39}) {
+    LyingCodec per_word(16, lie_from);
+    const std::string expected =
+        message_of([&] { Evaluate(per_word, longer, 4, true); });
+    EXPECT_NE(expected, "no throw");
+    for (const std::size_t chunk : {1, 7, 4096}) {
+      for (const TraceSource* source :
+           {static_cast<const TraceSource*>(&rows),
+            static_cast<const TraceSource*>(&columns)}) {
+        LyingCodec batched(16, lie_from);
+        EXPECT_EQ(message_of([&] {
+                    EvaluateBatched(batched, *source, 4, true, chunk);
+                  }),
+                  expected)
+            << "lie from " << lie_from << ", chunk size " << chunk
+            << (source == &rows ? ", rows" : ", columns");
+      }
+    }
   }
 }
 
