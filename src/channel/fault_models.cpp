@@ -1,5 +1,6 @@
 #include "channel/fault_models.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -103,12 +104,31 @@ void StuckAtFault::Apply(ChannelFrame& frame, std::size_t cycle,
   WriteLine(frame, geometry, line_, value_);
 }
 
+std::uint64_t NoiseFlipBound(double flip_probability) {
+  constexpr std::uint64_t kAll = std::numeric_limits<std::uint64_t>::max();
+  if (flip_probability >= 1.0) return kAll;
+  // Bisect for the least word whose coin reaches p; p * 2^64 is exact.
+  const double scaled = std::ldexp(flip_probability, 64);
+  std::uint64_t lo = 0;
+  std::uint64_t hi = kAll;  // double(kAll) = 2^64 > scaled
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) >= scaled) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo - 1;  // p > 0, so word 0 (coin 0) flips and lo >= 1
+}
+
 RandomNoiseFault::RandomNoiseFault(double flip_probability,
                                    std::uint64_t seed)
     : flip_probability_(flip_probability), seed_(seed), rng_(seed) {
   if (!(flip_probability >= 0.0) || !(flip_probability <= 1.0)) {
     throw ChannelConfigError("noise flip probability must be in [0, 1]");
   }
+  if (flip_probability > 0.0) flip_bound_ = NoiseFlipBound(flip_probability);
 }
 
 std::string RandomNoiseFault::describe() const {
@@ -118,10 +138,9 @@ std::string RandomNoiseFault::describe() const {
 void RandomNoiseFault::Apply(ChannelFrame& frame, std::size_t /*cycle*/,
                              const ChannelGeometry& geometry) {
   if (flip_probability_ == 0.0) return;
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
   const unsigned total = geometry.total_lines();
   for (unsigned line = 0; line < total; ++line) {
-    if (coin(rng_) < flip_probability_) FlipLine(frame, geometry, line);
+    if (rng_() <= flip_bound_) FlipLine(frame, geometry, line);
   }
 }
 

@@ -1,8 +1,11 @@
 // The concrete fault models: single-event upsets, multi-line bursts,
-// stuck-at lines and rate-parameterised random noise.
+// stuck-at lines and rate-parameterised random noise. The noise model
+// draws one 64-bit engine word per line and compares it with an integer
+// bound computed once, the exact image of a uniform real coin.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <random>
 
@@ -77,9 +80,20 @@ class StuckAtFault final : public FaultModel {
   std::size_t to_;
 };
 
+/// The largest std::mt19937_64 word that flips a line at
+/// `flip_probability` p in (0, 1]: a word x flips exactly when
+/// std::uniform_real_distribution<double>(0, 1) fed x would draw below p.
+/// That coin is double(x) / 2^64, clamped below 1, so the flipping words
+/// are those with double(x) < p * 2^64 — a prefix of the words, since the
+/// conversion is monotone — and at p = 1 every word.
+std::uint64_t NoiseFlipBound(double flip_probability);
+
 /// Rate-parameterised noise: every line of every cycle flips
 /// independently with probability `flip_probability`. Deterministic per
-/// seed; Reset() replays the same noise realisation.
+/// seed; Reset() replays the same noise realisation. Each line takes one
+/// engine word and flips when it is at most NoiseFlipBound(p) — the same
+/// flips, from the same engine stream, as one uniform real coin per
+/// line; at p = 0 the engine is never drawn.
 class RandomNoiseFault final : public FaultModel {
  public:
   RandomNoiseFault(double flip_probability, std::uint64_t seed);
@@ -92,6 +106,7 @@ class RandomNoiseFault final : public FaultModel {
  private:
   double flip_probability_;
   std::uint64_t seed_;
+  std::uint64_t flip_bound_ = 0;  // NoiseFlipBound(p); unused at p = 0
   std::mt19937_64 rng_;
 };
 

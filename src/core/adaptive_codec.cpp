@@ -1,11 +1,33 @@
 #include "core/adaptive_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <string_view>
 #include <utility>
 
 namespace abenc {
+namespace {
+
+// Toggles of `states` following `last`, which becomes the final state:
+// the total a TransitionCounter accumulates over the same states, with
+// no per-line histogram and no peak.
+long long CountToggles(std::span<const BusState> states, Word data_mask,
+                       Word redundant_mask, BusState& last) {
+  long long total = 0;
+  Word lines = last.lines;
+  Word redundant = last.redundant;
+  for (const BusState& state : states) {
+    total += std::popcount((lines ^ state.lines) & data_mask) +
+             std::popcount((redundant ^ state.redundant) & redundant_mask);
+    lines = state.lines;
+    redundant = state.redundant;
+  }
+  last = BusState{lines, redundant};
+  return total;
+}
+
+}  // namespace
 
 std::vector<std::string> AdaptiveCodec::DefaultPalette() {
   return {"binary", "gray", "t0", "bus-invert", "dual-t0-bi"};
@@ -32,12 +54,11 @@ std::vector<std::string> AdaptiveCodec::ParsePalette(const std::string& spec) {
 
 AdaptiveCodec::AdaptiveCodec(unsigned width, std::vector<std::string> palette,
                              std::size_t window, long long hysteresis,
-                             Word stride, const MemberBuilder& builder)
+                             const MemberBuilder& builder)
     : Codec(width),
       palette_(std::move(palette)),
       window_(window),
-      hysteresis_(hysteresis),
-      stride_(stride) {
+      hysteresis_(hysteresis) {
   if (palette_.empty()) {
     throw CodecConfigError("adaptive palette must name at least one member");
   }
@@ -66,8 +87,10 @@ AdaptiveCodec::AdaptiveCodec(unsigned width, std::vector<std::string> palette,
                                "' was not built at the meta-codec width");
       }
       redundant_ = std::max(redundant_, member->redundant_lines());
-      end->counters.emplace_back(this->width(), member->redundant_lines());
-      end->shadows.push_back(builder(name));
+      Shadow shadow;
+      shadow.codec = builder(name);
+      shadow.redundant_mask = LowMask(member->redundant_lines());
+      end->shadows.push_back(std::move(shadow));
       end->members.push_back(std::move(member));
     }
     end->window_base.assign(palette_.size(), 0);
@@ -75,10 +98,11 @@ AdaptiveCodec::AdaptiveCodec(unsigned width, std::vector<std::string> palette,
 }
 
 bool AdaptiveCodec::DecideAtBoundary(End& e, bool encoder_end) {
+  CostBuffered(e);
   const std::size_t n = palette_.size();
   std::vector<long long> fresh(n);
   for (std::size_t m = 0; m < n; ++m) {
-    fresh[m] = e.counters[m].total() - e.window_base[m];
+    fresh[m] = e.shadows[m].total - e.window_base[m];
   }
   // The stale-statistics sabotage decides from the window before last;
   // the first boundary has no older window, so both ends still agree
@@ -107,10 +131,8 @@ bool AdaptiveCodec::DecideAtBoundary(End& e, bool encoder_end) {
   e.decisions.push_back(std::move(decision));
 
   for (std::size_t m = 0; m < n; ++m) {
-    e.window_base[m] = e.counters[m].total();
+    e.window_base[m] = e.shadows[m].total;
   }
-  e.completed = std::move(e.current);
-  e.current = AdaptiveWindowStats{};
   e.last_costs = std::move(fresh);
   return switched;
 }
@@ -121,40 +143,58 @@ void AdaptiveCodec::Prime(End& e, Word address, bool sel) {
   (void)member.Decode(primed, sel);
 }
 
-void AccumulateWindowStats(AdaptiveWindowStats& stats, Word masked_address,
-                           bool sel, bool& has_prev, Word& prev_address,
-                           unsigned width, Word stride) {
-  const Word mask = LowMask(width);
-  ++stats.accesses;
-  if (sel) ++stats.sel_high;
-  if (has_prev) {
-    const Word delta = (masked_address - prev_address) & mask;
-    ++stats.stride_histogram[delta];
-    stats.raw_toggles += HammingDistance(prev_address, masked_address, width);
-    if (delta == (stride & mask)) ++stats.in_sequence;
-  }
-  prev_address = masked_address;
-  has_prev = true;
-}
-
 AdaptiveStatsTracker::AdaptiveStatsTracker(unsigned width, Word stride,
                                            std::size_t window)
     : width_(width), stride_(stride), window_(window == 0 ? 1 : window) {}
 
 void AdaptiveStatsTracker::Observe(Word address, bool sel) {
-  AccumulateWindowStats(current_, address & LowMask(width_), sel, has_prev_,
-                        prev_address_, width_, stride_);
-  if (++accesses_ % window_ == 0) {
-    completed_ = std::move(current_);
-    current_ = AdaptiveWindowStats{};
-    ++windows_completed_;
-  }
+  const std::uint8_t flag = sel ? 1 : 0;
+  ObserveColumns(&address, &flag, 1);
 }
 
 void AdaptiveStatsTracker::ObserveColumns(const Word* addresses,
                                           const std::uint8_t* sel,
                                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) Observe(addresses[i], sel[i] != 0);
+  const Word mask = LowMask(width_);
+  const Word stride = stride_ & mask;
+  std::size_t i = 0;
+  while (i < n) {
+    // One loop over the run up to the next window boundary, in locals:
+    // the SEL bytes may alias anything, the window's fields included.
+    const std::size_t end = i + std::min(window_ - accesses_ % window_, n - i);
+    current_.accesses += end - i;
+    accesses_ += end - i;
+    std::size_t sel_high = 0;
+    if (!has_prev_) {  // the stream's first access takes no step
+      sel_high += sel[i] != 0;
+      prev_address_ = addresses[i] & mask;
+      has_prev_ = true;
+      ++i;
+    }
+    Word prev = prev_address_;
+    std::size_t in_sequence = 0;
+    std::size_t unit_stride_steps = 0;
+    long long raw_toggles = 0;
+    for (; i < end; ++i) {
+      const Word b = addresses[i] & mask;
+      const Word delta = (b - prev) & mask;
+      sel_high += sel[i] != 0;
+      in_sequence += delta == stride;
+      unit_stride_steps += delta == 1;
+      raw_toggles += std::popcount(b ^ prev);
+      prev = b;
+    }
+    prev_address_ = prev;
+    current_.sel_high += sel_high;
+    current_.in_sequence += in_sequence;
+    current_.unit_stride_steps += unit_stride_steps;
+    current_.raw_toggles += raw_toggles;
+    if (accesses_ % window_ == 0) {
+      completed_ = current_;
+      current_ = AdaptiveWindowStats{};
+      ++windows_completed_;
+    }
+  }
 }
 
 void AdaptiveStatsTracker::Reset() {
@@ -166,21 +206,28 @@ void AdaptiveStatsTracker::Reset() {
   completed_ = AdaptiveWindowStats{};
 }
 
-void AdaptiveCodec::ObserveStats(End& e, Word b, bool sel) {
-  AccumulateWindowStats(e.current, b, sel, e.has_prev, e.prev_address, width(),
-                        stride_);
-}
-
-void AdaptiveCodec::Advance(End& e, Word address, bool sel) {
-  const Word b = Mask(address);
-  for (std::size_t m = 0; m < palette_.size(); ++m) {
-    e.counters[m].Observe(e.shadows[m]->Encode(b, sel));
-  }
-  ObserveStats(e, b, sel);
+void AdaptiveCodec::Buffer(End& e, Word b, bool sel) {
+  if (e.buffered == kCostBatch) CostBuffered(e);
+  e.addresses[e.buffered] = b;
+  e.sel[e.buffered] = sel ? 1 : 0;
+  ++e.buffered;
   ++e.accesses;
 }
 
-BusState AdaptiveCodec::EncodeOne(Word address, bool sel) {
+void AdaptiveCodec::CostBuffered(End& e) {
+  if (e.buffered == 0) return;
+  const AccessView in = AccessView::Columns(e.addresses.data(), e.sel.data());
+  const std::span<BusState> states(shadow_states_.data(), e.buffered);
+  const Word data_mask = LowMask(width());
+  for (Shadow& shadow : e.shadows) {
+    shadow.codec->EncodeBatch(in, e.buffered, states);
+    shadow.total +=
+        CountToggles(states, data_mask, shadow.redundant_mask, shadow.last);
+  }
+  e.buffered = 0;
+}
+
+BusState AdaptiveCodec::Encode(Word address, bool sel) {
   End& e = enc_;
   bool switched = false;
   if (AtBoundary(e)) switched = DecideAtBoundary(e, true);
@@ -200,11 +247,11 @@ BusState AdaptiveCodec::EncodeOne(Word address, bool sel) {
       e.pending_esc = false;
     }
   }
-  Advance(e, b, sel);
+  Buffer(e, b, sel);
   return out;
 }
 
-Word AdaptiveCodec::DecodeOne(const BusState& bus, bool sel) {
+Word AdaptiveCodec::Decode(const BusState& bus, bool sel) {
   End& d = dec_;
   bool switched = false;
   if (AtBoundary(d)) switched = DecideAtBoundary(d, false);
@@ -218,16 +265,8 @@ Word AdaptiveCodec::DecodeOne(const BusState& bus, bool sel) {
   } else {
     b = Mask(d.members[static_cast<std::size_t>(d.active)]->Decode(bus, sel));
   }
-  Advance(d, b, sel);
+  Buffer(d, b, sel);
   return b;
-}
-
-BusState AdaptiveCodec::Encode(Word address, bool sel) {
-  return EncodeOne(address, sel);
-}
-
-Word AdaptiveCodec::Decode(const BusState& bus, bool sel) {
-  return DecodeOne(bus, sel);
 }
 
 void AdaptiveCodec::EncodeBatch(AccessView in, std::size_t n,
@@ -236,7 +275,7 @@ void AdaptiveCodec::EncodeBatch(AccessView in, std::size_t n,
   std::size_t i = 0;
   while (i < n) {
     if (AtBoundary(e)) {
-      out[i] = EncodeOne(in.address(i), in.sel_at(i));
+      out[i] = Encode(in.address(i), in.sel_at(i));
       ++i;
       continue;
     }
@@ -250,33 +289,26 @@ void AdaptiveCodec::EncodeBatch(AccessView in, std::size_t n,
       sub_out[0].redundant |= 1;
       e.pending_esc = false;
     }
-    e.scratch.resize(run);
-    const std::span<BusState> scratch(e.scratch.data(), run);
-    for (std::size_t m = 0; m < palette_.size(); ++m) {
-      e.shadows[m]->EncodeBatch(sub_in, run, scratch);
-      for (const BusState& state : scratch) e.counters[m].Observe(state);
-    }
     for (std::size_t k = 0; k < run; ++k) {
-      ObserveStats(e, Mask(sub_in.address(k)), sub_in.sel_at(k));
+      Buffer(e, Mask(sub_in.address(k)), sub_in.sel_at(k));
     }
-    e.accesses += run;
     i += run;
   }
 }
 
 void AdaptiveCodec::ResetEnd(End& e) {
   for (const CodecPtr& member : e.members) member->Reset();
-  for (const CodecPtr& shadow : e.shadows) shadow->Reset();
-  for (TransitionCounter& counter : e.counters) counter.Reset();
+  for (Shadow& shadow : e.shadows) {
+    shadow.codec->Reset();
+    shadow.last = BusState{};
+    shadow.total = 0;
+  }
   e.window_base.assign(palette_.size(), 0);
   e.last_costs.clear();
   e.active = 0;
   e.accesses = 0;
   e.pending_esc = false;
-  e.has_prev = false;
-  e.prev_address = 0;
-  e.current = AdaptiveWindowStats{};
-  e.completed = AdaptiveWindowStats{};
+  e.buffered = 0;
   e.decisions.clear();
 }
 

@@ -1,18 +1,18 @@
 // Adaptive meta-codec: switches the active member code per window of the
-// address stream, driven by windowed stream statistics measured on both
+// address stream, driven by each member's toggle cost measured on both
 // ends of the bus, so the decoder replays every decision deterministically
-// from the wire alone.
+// from the wire alone. Also the windowed stream-shape tracker the
+// service's renegotiation policy reads (AdaptiveStatsTracker).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/codec.h"
-#include "core/transition_counter.h"
 
 namespace abenc {
 
@@ -29,14 +29,14 @@ struct AdaptiveDecision {
   bool operator==(const AdaptiveDecision&) const = default;
 };
 
-/// Windowed stream-shape statistics tracked alongside the per-member
-/// toggle costs (the trace-stats quantities, computed online per window).
+/// Windowed stream-shape statistics (the trace-stats quantities, computed
+/// online per window) — what the renegotiation policy reads.
 struct AdaptiveWindowStats {
   std::size_t accesses = 0;
-  std::size_t sel_high = 0;     // instruction-slot accesses
-  std::size_t in_sequence = 0;  // steps with b(t) = b(t-1) + stride
-  long long raw_toggles = 0;    // unencoded (binary) toggle count
-  std::map<Word, std::size_t> stride_histogram;  // delta mod 2^N -> count
+  std::size_t sel_high = 0;           // instruction-slot accesses
+  std::size_t in_sequence = 0;        // steps with b(t) = b(t-1) + stride
+  std::size_t unit_stride_steps = 0;  // steps with b(t) = b(t-1) + 1
+  long long raw_toggles = 0;          // unencoded (binary) toggle count
 
   double in_sequence_percent() const {
     return accesses < 2 ? 0.0
@@ -50,21 +50,13 @@ struct AdaptiveWindowStats {
   }
 };
 
-/// Fold one masked address step into a window's statistics — the single
-/// update rule shared by AdaptiveCodec's two ends and the standalone
-/// AdaptiveStatsTracker, so every consumer of AdaptiveWindowStats
-/// measures exactly the same quantities. `prev`/`has_prev` carry the
-/// caller's previous-address state and are updated in place.
-void AccumulateWindowStats(AdaptiveWindowStats& stats, Word masked_address,
-                           bool sel, bool& has_prev, Word& prev_address,
-                           unsigned width, Word stride);
-
-/// Standalone window-segmented tracker of AdaptiveWindowStats: the same
-/// windowed stream-shape statistics the adaptive codec's encoder end
-/// measures, surfaced for layers that watch a stream encoded by *any*
-/// codec. The service layer keeps one per session and the server's
-/// renegotiation policy reads the last completed window to propose a
-/// better palette member (src/service/renegotiation.h).
+/// Window-segmented tracker of AdaptiveWindowStats over a stream encoded
+/// by *any* codec: the one implementation of those statistics. The
+/// service layer keeps one per session and the server's renegotiation
+/// policy reads the last completed window to propose a better palette
+/// member (src/service/renegotiation.h). Each step compares masked
+/// addresses, and a window's first step reaches back into the window
+/// before it.
 class AdaptiveStatsTracker {
  public:
   /// `window` accesses per segment (>= 1); `stride` feeds the
@@ -72,7 +64,8 @@ class AdaptiveStatsTracker {
   AdaptiveStatsTracker(unsigned width, Word stride, std::size_t window);
 
   void Observe(Word address, bool sel);
-  /// Columnar batch feed: equivalent to Observe per element.
+  /// Columnar batch feed: equivalent to Observe per element, folding
+  /// each run up to the next window boundary in one loop.
   void ObserveColumns(const Word* addresses, const std::uint8_t* sel,
                       std::size_t n);
   /// Power-on state: empty windows, no previous address.
@@ -118,13 +111,27 @@ struct AdaptiveSabotage {
 };
 
 /// A meta-codec over a palette of member codes. Each end keeps, per
-/// member, a continuously-driven *shadow* encoder plus a
-/// TransitionCounter; at every window boundary both ends compare the
-/// members' measured toggle costs over the completed window and switch
-/// to the cheapest member when it beats the active one by more than the
-/// hysteresis margin. The decoder sees the same addresses the encoder
-/// saw (they come off the wire), so both ends compute identical costs
-/// and replay identical decisions with no side channel.
+/// member, a *shadow* encoder that sees every access, and a running
+/// total of the shadow's toggles; at every window boundary both ends
+/// compare the members' toggle costs over the completed window and
+/// switch to the cheapest member when it beats the active one by more
+/// than the hysteresis margin. The decoder sees the same addresses the
+/// encoder saw (they come off the wire), so both ends compute identical
+/// costs and replay identical decisions with no side channel.
+///
+/// Shadows are costed once per window, not per word: each end buffers
+/// the open window's masked addresses and SELs (at most kCostBatch of
+/// them), and before a boundary decision — or when the buffer fills
+/// inside a longer window — every shadow encodes the buffer through its
+/// own EncodeBatch (hence the members' SIMD kernels) and a totals-only
+/// XOR+popcount sweep adds the buffer's toggles to its running total,
+/// carrying its last state, with no per-line histogram and no peak. A
+/// cost is a difference of running totals, so where the flushes fall
+/// never changes it, and the totals equal a TransitionCounter's fed the
+/// same states word by word (the power-on first cycle included). A window
+/// that never completes is never costed. The codec keeps no window
+/// statistics of its own: the renegotiation policy's input is the
+/// service's AdaptiveStatsTracker.
 ///
 /// Wire protocol: the redundant line 0 is overloaded exactly the way
 /// dual-T0BI overloads INCV. Mid-window (and at non-switch boundaries)
@@ -137,7 +144,8 @@ struct AdaptiveSabotage {
 /// are synchronized without trusting the discarded wire pattern.
 ///
 /// Reset() restores power-on on both ends (active member back to
-/// palette[0], empty statistics, cleared decision logs), so the codec
+/// palette[0], zero costs, an empty buffer, cleared decision logs;
+/// the open window is dropped uncosted), so the codec
 /// survives EvaluateWithSchedule's reset points and the service layer's
 /// eviction / resync / degrade ladder.
 class AdaptiveCodec final : public Codec {
@@ -151,7 +159,7 @@ class AdaptiveCodec final : public Codec {
   /// is the minimum toggle advantage (over one window) required to
   /// switch, covering the ESC word's own cost.
   AdaptiveCodec(unsigned width, std::vector<std::string> palette,
-                std::size_t window, long long hysteresis, Word stride,
+                std::size_t window, long long hysteresis,
                 const MemberBuilder& builder);
 
   std::string name() const override { return "adaptive"; }
@@ -164,9 +172,9 @@ class AdaptiveCodec final : public Codec {
 
   /// Batched path: segments the block at window boundaries and
   /// delegates each in-window run to the active member's own
-  /// EncodeBatch (hence the member's SIMD kernels); shadows advance
-  /// through their batched paths too. Bit-identical to per-word Encode
-  /// by the members' own contract.
+  /// EncodeBatch (hence the member's SIMD kernels), then buffers the run
+  /// for the shadows. Bit-identical to per-word Encode by the members'
+  /// own contract.
   void EncodeBatch(AccessView in, std::size_t n,
                    std::span<BusState> out) override;
 
@@ -192,15 +200,6 @@ class AdaptiveCodec final : public Codec {
     return dec_.decisions;
   }
 
-  /// Stream-shape statistics of the last completed window (encoder end).
-  const AdaptiveWindowStats& encoder_window_stats() const {
-    return enc_.completed;
-  }
-  /// Statistics accumulated so far in the current window (encoder end).
-  const AdaptiveWindowStats& encoder_current_stats() const {
-    return enc_.current;
-  }
-
   const std::string& active_encoder_member() const {
     return palette_[static_cast<std::size_t>(enc_.active)];
   }
@@ -213,28 +212,37 @@ class AdaptiveCodec final : public Codec {
   void SetSabotage(const AdaptiveSabotage& sabotage) { sabotage_ = sabotage; }
 
  private:
+  /// Most accesses an end buffers before costing its shadows: the
+  /// default adaptive_window, so a default window is costed in one
+  /// batch, and a longer window every kCostBatch accesses.
+  static constexpr std::size_t kCostBatch = 64;
+
+  // A member's shadow encoder and its running toggle total, costed from
+  // the last state it drove (power-on: every line low).
+  struct Shadow {
+    CodecPtr codec;
+    Word redundant_mask = 0;  // the member's own redundant lines
+    BusState last;
+    long long total = 0;
+  };
+
   // One physical end of the bus: real members (only the active one has
-  // live state), always-on shadows with their counters, window
-  // bookkeeping, statistics and the decision log.
+  // live state), shadows, the accesses not yet costed, window
+  // bookkeeping and the decision log.
   struct End {
     std::vector<CodecPtr> members;
-    std::vector<CodecPtr> shadows;
-    std::vector<TransitionCounter> counters;
-    std::vector<long long> window_base;  // counter totals at window start
+    std::vector<Shadow> shadows;
+    std::vector<long long> window_base;  // shadow totals at window start
     std::vector<long long> last_costs;   // previous window (sabotage only)
     int active = 0;
     std::size_t accesses = 0;
     bool pending_esc = false;  // delayed-ESC sabotage carry
-    bool has_prev = false;
-    Word prev_address = 0;
-    AdaptiveWindowStats current;
-    AdaptiveWindowStats completed;
+    std::size_t buffered = 0;  // accesses not yet costed, oldest first
+    std::array<Word, kCostBatch> addresses;  // masked
+    std::array<std::uint8_t, kCostBatch> sel;
     std::vector<AdaptiveDecision> decisions;
-    std::vector<BusState> scratch;  // shadow output in the block paths
   };
 
-  BusState EncodeOne(Word address, bool sel);
-  Word DecodeOne(const BusState& bus, bool sel);
   bool AtBoundary(const End& e) const {
     return e.accesses != 0 && e.accesses % window_ == 0;
   }
@@ -245,20 +253,22 @@ class AdaptiveCodec final : public Codec {
   // Feed the incoming member the boundary address once through both of
   // its halves, synchronizing it on the two ends without the wire.
   void Prime(End& e, Word address, bool sel);
-  // Fold one (masked) access into the current window statistics.
-  void ObserveStats(End& e, Word b, bool sel);
-  // Advance shadows + statistics by one access (bumps e.accesses).
-  void Advance(End& e, Word address, bool sel);
+  // Append one masked access for the shadows (bumps e.accesses),
+  // costing the buffer first when it is full.
+  void Buffer(End& e, Word b, bool sel);
+  // Drive every shadow over the buffered accesses and add their toggles
+  // to its running total; empties the buffer.
+  void CostBuffered(End& e);
   void ResetEnd(End& e);
 
   std::vector<std::string> palette_;
   std::size_t window_;
   long long hysteresis_;
-  Word stride_;  // for the in-sequence window statistic only
   unsigned redundant_ = 1;
   AdaptiveSabotage sabotage_;
   End enc_;
   End dec_;
+  std::array<BusState, kCostBatch> shadow_states_;  // CostBuffered scratch
 };
 
 }  // namespace abenc

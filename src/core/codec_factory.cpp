@@ -66,7 +66,7 @@ constexpr CodecRow kCodecs[] = {
        // "adaptive" itself, so the recursion is one level deep.
        return std::make_unique<AdaptiveCodec>(
            o.width, AdaptiveCodec::ParsePalette(o.adaptive_palette),
-           o.adaptive_window, o.adaptive_hysteresis, o.stride,
+           o.adaptive_window, o.adaptive_hysteresis,
            [o](const std::string& member) { return MakeCodec(member, o); });
      }},
 };

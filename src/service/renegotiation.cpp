@@ -24,10 +24,8 @@ std::string RecommendCodec(const AdaptiveWindowStats& window, unsigned width,
   } else {
     // Unit-stride counting that the configured stride misses: Gray's
     // single-toggle increments. Steps observed = accesses - 1.
-    const auto unit = window.stride_histogram.find(Word{1});
-    if (unit != window.stride_histogram.end() && window.accesses > 1 &&
-        static_cast<double>(unit->second) >=
-            kUnitStrideFraction * static_cast<double>(window.accesses - 1)) {
+    if (static_cast<double>(window.unit_stride_steps) >=
+        kUnitStrideFraction * static_cast<double>(window.accesses - 1)) {
       candidate = "gray";
     }
   }

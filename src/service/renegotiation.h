@@ -1,6 +1,6 @@
 // Server-side renegotiation policy: reads a session's windowed
-// stream-shape statistics (AdaptiveWindowStats, the same quantities the
-// adaptive meta-codec decides from) and proposes the regime winner the
+// stream-shape statistics (the last window its AdaptiveStatsTracker
+// completed) and proposes the regime winner the
 // paper's results predict for that traffic — always a member of
 // AdaptiveCodec::DefaultPalette(). The policy only *recommends* — the
 // switch itself is pinned and applied by Session::Renegotiate, and a

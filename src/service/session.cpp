@@ -421,11 +421,17 @@ RenegotiateOutcome Session::Renegotiate(const std::string& codec_name) {
 void Session::ApplySwitchLocked(const std::string& codec_name) {
   const std::uint64_t index = processed_.load(std::memory_order_relaxed);
   active_codec_name_ = codec_name;
-  // When evicted, the FSMs are torn down and the eviction already logged
-  // this index as a reset point — Readmit builds the new codec.
   if (state_ == SessionState::kActive) {
     reset_points_.push_back(static_cast<std::size_t>(index));
     BuildFsms();
+  } else {
+    // The FSMs are torn down and the eviction already logged this index
+    // as a reset point — Readmit builds the new codec. The accounting
+    // segment opens now, with the new codec's lines: no access may ever
+    // follow, and the oracle still counts this piece's geometry.
+    const CodecPtr codec = MakeCodec(codec_name, config_.codec_options);
+    accounting_.StartSegment(codec->width(), codec->redundant_lines());
+    acc_codec_name_ = codec->name();
   }
   renegotiations_.push_back(
       CodecSwitchPoint{static_cast<std::size_t>(index), codec_name});

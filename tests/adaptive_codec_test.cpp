@@ -2,12 +2,16 @@
 // decision-replay contract between the two ends, the window-boundary
 // edge cases (switch on the first word after reset, back-to-back
 // switches, window length 1), reset-point survival, per-backend
-// identity of the segmented block paths, and — the acceptance tests of
+// identity of the segmented block paths, decision costs against
+// per-word TransitionCounters wherever the cost buffer flushes, the
+// AdaptiveStatsTracker's window figures, and — the acceptance tests of
 // the new decision-replay verify property — two injected protocol bugs
 // (stale window statistics, delayed ESC) each caught at an exact index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "core/codec_factory.h"
 #include "core/simd/kernel_dispatch.h"
 #include "core/stream_evaluator.h"
+#include "core/transition_counter.h"
 #include "verify/properties.h"
 #include "verify/stream_gen.h"
 
@@ -148,12 +153,6 @@ TEST(AdaptiveDecisionTest, PicksTheMeasuredWinnerPerRegime) {
   }
   EXPECT_EQ(adaptive->active_encoder_member(), "t0");
   EXPECT_FALSE(adaptive->encoder_decisions().empty());
-
-  // The windowed statistics describe the stream, not the code.
-  const AdaptiveWindowStats& stats = adaptive->encoder_window_stats();
-  EXPECT_EQ(stats.accesses, options.adaptive_window);
-  EXPECT_GT(stats.in_sequence_percent(), 99.0);
-  EXPECT_EQ(stats.stride_histogram.count(4), 1u);
 }
 
 TEST(AdaptiveDecisionTest, HysteresisHoldsTheActiveMember) {
@@ -174,6 +173,213 @@ TEST(AdaptiveDecisionTest, HysteresisHoldsTheActiveMember) {
     EXPECT_EQ(decision.chosen, 0);
   }
   EXPECT_EQ(adaptive->active_encoder_member(), "binary");
+}
+
+// ---------------------------------------------------------------------------
+// Decision costs: shadows costed once per window
+// ---------------------------------------------------------------------------
+
+// The cost vector every decision must carry, recomputed independently:
+// one fresh member per palette entry behind a TransitionCounter fed word
+// by word, differenced at each boundary t = k * window, 0 < t < n.
+std::vector<std::vector<long long>> PerWordCosts(
+    const CodecOptions& options, std::span<const BusAccess> stream) {
+  std::vector<CodecPtr> shadows;
+  std::vector<TransitionCounter> counters;
+  for (const std::string& name :
+       AdaptiveCodec::ParsePalette(options.adaptive_palette)) {
+    shadows.push_back(MakeCodec(name, options));
+    counters.emplace_back(options.width, shadows.back()->redundant_lines());
+  }
+  std::vector<long long> base(shadows.size(), 0);
+  std::vector<std::vector<long long>> costs;
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    if (t != 0 && t % options.adaptive_window == 0) {
+      std::vector<long long>& window = costs.emplace_back();
+      for (std::size_t m = 0; m < counters.size(); ++m) {
+        window.push_back(counters[m].total() - base[m]);
+        base[m] = counters[m].total();
+      }
+    }
+    for (std::size_t m = 0; m < counters.size(); ++m) {
+      counters[m].Observe(shadows[m]->Encode(stream[t].address, stream[t].sel));
+    }
+  }
+  return costs;
+}
+
+std::vector<std::vector<long long>> CostsOf(
+    const std::vector<AdaptiveDecision>& log) {
+  std::vector<std::vector<long long>> costs;
+  for (const AdaptiveDecision& decision : log) costs.push_back(decision.costs);
+  return costs;
+}
+
+// Encode (and, with `decoder`, lockstep-decode) the stream word by word.
+void DriveWordByWord(Codec& encoder, Codec* decoder,
+                     std::span<const BusAccess> stream) {
+  for (const BusAccess& access : stream) {
+    const BusState wire = encoder.Encode(access.address, access.sel);
+    if (decoder != nullptr) (void)decoder->Decode(wire, access.sel);
+  }
+}
+
+TEST(AdaptiveCostTest, DecisionCostsEqualPerWordCountersAtEveryFlushPoint) {
+  // Five regimes of 1000 accesses, so members win and lose in turn.
+  std::vector<BusAccess> stream;
+  std::uint64_t seed = 0xC057;
+  for (StreamFamily family :
+       {StreamFamily::kSequentialRuns, StreamFamily::kUniformRandom,
+        StreamFamily::kMultiplexed, StreamFamily::kStrideSweep,
+        StreamFamily::kBoundary}) {
+    const auto phase = GenerateStream(family, ++seed, 1000, 32, 4);
+    stream.insert(stream.end(), phase.begin(), phase.end());
+  }
+  // Palettes with 0-, 1-, 2- and 4-redundant-line members.
+  struct Palette {
+    const char* spec;
+    unsigned partitions;
+  };
+  const Palette palettes[] = {{"", 1},
+                              {"t0-bi,couple-invert,offset,inc-xor", 1},
+                              {"bus-invert,working-zone,mtf,gray-word", 4}};
+  // Windows just below, at and just above the 64-access cost buffer, and
+  // one that flushes the buffer 15 times before its decision.
+  for (const std::size_t window : {std::size_t{63}, std::size_t{64},
+                                   std::size_t{65}, std::size_t{1000}}) {
+    for (const Palette& palette : palettes) {
+      CodecOptions options;
+      options.adaptive_window = window;
+      options.adaptive_hysteresis = 0;
+      options.adaptive_palette = palette.spec;
+      options.partitions = palette.partitions;
+      SCOPED_TRACE(std::string("window ") + std::to_string(window) +
+                   ", palette '" + palette.spec + "'");
+      const auto want = PerWordCosts(options, stream);
+      ASSERT_EQ(want.size(), (stream.size() - 1) / window);
+
+      // Per-word Encode, and per-word Decode on a second instance.
+      const CodecPtr encoder = MakeCodec("adaptive", options);
+      const CodecPtr decoder = MakeCodec("adaptive", options);
+      DriveWordByWord(*encoder, decoder.get(), stream);
+      EXPECT_EQ(CostsOf(AsAdaptive(encoder)->encoder_decisions()), want);
+      EXPECT_EQ(CostsOf(AsAdaptive(decoder)->decoder_decisions()), want);
+
+      // EncodeBatch in random chunks (windows straddle them all ways).
+      const CodecPtr chunked = MakeCodec("adaptive", options);
+      std::mt19937_64 chunk_rng(window);
+      std::vector<BusState> out(stream.size());
+      for (std::size_t pos = 0; pos < stream.size();) {
+        const std::size_t len = std::min<std::size_t>(
+            1 + chunk_rng() % 300, stream.size() - pos);
+        chunked->EncodeBatch(AccessView::Rows(stream.data() + pos), len,
+                             std::span<BusState>(out.data() + pos, len));
+        pos += len;
+      }
+      EXPECT_EQ(CostsOf(AsAdaptive(chunked)->encoder_decisions()), want);
+
+      // A Reset() in the middle of a window drops the buffered accesses:
+      // both ends then cost the stream from power-on, as if new.
+      const CodecPtr reused = MakeCodec("adaptive", options);
+      const std::size_t prefix = window + window / 2 + 7;
+      reused->EncodeBatch(AccessView::Rows(stream.data()), prefix,
+                          std::span<BusState>(out.data(), prefix));
+      DriveWordByWord(*reused, reused.get(),
+                      std::span<const BusAccess>(stream).subspan(0, prefix));
+      reused->Reset();
+      DriveWordByWord(*reused, reused.get(), stream);
+      EXPECT_EQ(CostsOf(AsAdaptive(reused)->encoder_decisions()), want);
+      EXPECT_EQ(CostsOf(AsAdaptive(reused)->decoder_decisions()), want);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AdaptiveStatsTracker: the renegotiation policy's window figures
+// ---------------------------------------------------------------------------
+
+void ExpectSameWindow(const AdaptiveWindowStats& got,
+                      const AdaptiveWindowStats& want) {
+  EXPECT_EQ(got.accesses, want.accesses);
+  EXPECT_EQ(got.sel_high, want.sel_high);
+  EXPECT_EQ(got.in_sequence, want.in_sequence);
+  EXPECT_EQ(got.unit_stride_steps, want.unit_stride_steps);
+  EXPECT_EQ(got.raw_toggles, want.raw_toggles);
+}
+
+// Consecutive addresses base + step * i, i in [0, 64), toggle
+// ctz(i) + 1 lines per step when the steps stay below base's set bits:
+// 57 toggles over the first window of 32 (steps 1..31) and 63 over the
+// second (steps 32..63, the first reaching back into window one).
+TEST(AdaptiveStatsTrackerTest, PinsTheWindowFiguresOfAStrideFourStream) {
+  // The stream and window of AdaptiveDecisionTest's sequential phase.
+  AdaptiveStatsTracker tracker(32, 4, 32);
+  for (std::size_t i = 0; i < 256; ++i) {
+    tracker.Observe(0x400000 + 4 * static_cast<Word>(i), true);
+    if (i == 31) {
+      EXPECT_EQ(tracker.windows_completed(), 1u);
+      ExpectSameWindow(tracker.completed(), {32, 32, 31, 0, 57});
+      EXPECT_EQ(tracker.current().accesses, 0u);
+    }
+    if (i == 63) {
+      EXPECT_EQ(tracker.windows_completed(), 2u);
+      ExpectSameWindow(tracker.completed(), {32, 32, 32, 0, 63});
+    }
+  }
+  // The windowed statistics describe the stream, not the code.
+  const AdaptiveWindowStats& stats = tracker.completed();
+  EXPECT_EQ(tracker.windows_completed(), 8u);
+  EXPECT_EQ(stats.accesses, 32u);
+  EXPECT_GT(stats.in_sequence_percent(), 99.0);
+  EXPECT_EQ(stats.unit_stride_steps, 0u);
+}
+
+TEST(AdaptiveStatsTrackerTest, PinsTheWindowFiguresOfAUnitStrideStream) {
+  AdaptiveStatsTracker tracker(32, 4, 32);
+  for (std::size_t i = 0; i < 64; ++i) {
+    tracker.Observe(0x1000 + static_cast<Word>(i), i % 2 == 0);
+    if (i == 31) ExpectSameWindow(tracker.completed(), {32, 16, 0, 31, 57});
+  }
+  EXPECT_EQ(tracker.windows_completed(), 2u);
+  ExpectSameWindow(tracker.completed(), {32, 16, 0, 32, 63});
+  tracker.Reset();
+  EXPECT_EQ(tracker.windows_completed(), 0u);
+  ExpectSameWindow(tracker.completed(), {});
+  ExpectSameWindow(tracker.current(), {});
+}
+
+TEST(AdaptiveStatsTrackerTest, ColumnsInRandomChunksEqualPerAccessObserve) {
+  std::vector<Word> addresses;
+  std::vector<std::uint8_t> sel;
+  std::uint64_t seed = 0x7AC4;
+  for (StreamFamily family : AllStreamFamilies()) {
+    for (const BusAccess& access : GenerateStream(family, ++seed, 700, 32, 4)) {
+      addresses.push_back(access.address);
+      sel.push_back(access.sel ? 1 : 0);
+    }
+  }
+  for (const unsigned width : {32u, 20u}) {
+    for (const std::size_t window :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{1000}}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", window " +
+                   std::to_string(window));
+      AdaptiveStatsTracker one(width, 4, window);
+      AdaptiveStatsTracker chunked(width, 4, window);
+      std::mt19937_64 rng(window * width);
+      for (std::size_t pos = 0; pos < addresses.size();) {
+        const std::size_t len = std::min<std::size_t>(
+            1 + rng() % 150, addresses.size() - pos);
+        chunked.ObserveColumns(addresses.data() + pos, sel.data() + pos, len);
+        for (std::size_t k = pos; k < pos + len; ++k) {
+          one.Observe(addresses[k], sel[k] != 0);
+        }
+        pos += len;
+        ASSERT_EQ(chunked.windows_completed(), one.windows_completed());
+        ExpectSameWindow(chunked.current(), one.current());
+        ExpectSameWindow(chunked.completed(), one.completed());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

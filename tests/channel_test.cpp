@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "channel/fault_models.h"
@@ -186,6 +190,94 @@ TEST(FaultModelTest, NoiseIsDeterministicPerSeed) {
   EXPECT_EQ(a.corrupted_addresses, b.corrupted_addresses);
   EXPECT_EQ(a.counters.detected_errors, b.counters.detected_errors);
   EXPECT_GT(a.counters.detected_errors, 0u);
+}
+
+// The flip probabilities the noise model's integer draws are checked
+// at: rare, the soak's and the channel tests' rates, even odds, the
+// largest probability below 1, and 1.
+const double kNoiseProbabilities[] = {1e-9, 0.001, 0.01, 0.5,
+                                      std::nextafter(1.0, 0.0), 1.0};
+
+TEST(FaultModelTest, NoiseFlipsMatchAUniformRealCoinPerLine) {
+  // A 40-line frame (32 data + 1 redundant + 7 SECDED check lines), the
+  // same seed on both sides: the model must flip exactly the lines a
+  // uniform_real_distribution coin below p flips, cycle after cycle.
+  const ChannelGeometry geometry{32, 1, 7};
+  constexpr std::size_t kCycles = 100000;
+  constexpr std::uint64_t kSeed = 0x5EED;
+  for (const double p : kNoiseProbabilities) {
+    SCOPED_TRACE(p);
+    RandomNoiseFault model(p, kSeed);
+    std::mt19937_64 rng(kSeed);
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    std::size_t flips = 0;
+    for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+      ChannelFrame got;
+      model.Apply(got, cycle, geometry);
+      ChannelFrame want;
+      for (unsigned line = 0; line < geometry.total_lines(); ++line) {
+        if (coin(rng) < p) {
+          FlipLine(want, geometry, line);
+          ++flips;
+        }
+      }
+      ASSERT_EQ(got, want) << "cycle " << cycle;
+    }
+    if (p >= 0.001) {
+      EXPECT_GT(flips, 0u);
+    }
+    if (p == 1.0) {
+      EXPECT_EQ(flips, kCycles * geometry.total_lines());
+    }
+  }
+}
+
+TEST(FaultModelTest, NoiseAtZeroNeverFlips) {
+  // At p = 0 the model returns before drawing (there is nothing a draw
+  // could change); every frame passes untouched.
+  const ChannelGeometry geometry{32, 1, 7};
+  RandomNoiseFault model(0.0, 1);
+  for (std::size_t cycle = 0; cycle < 100000; ++cycle) {
+    ChannelFrame frame;
+    frame.coded = BusState{0xDEADBEEF, 1};
+    frame.check = 0x55;
+    const ChannelFrame before = frame;
+    model.Apply(frame, cycle, geometry);
+    ASSERT_EQ(frame, before) << "cycle " << cycle;
+  }
+}
+
+// An engine that always returns one word, so the library's own coin can
+// be read for a chosen draw.
+struct FixedWordEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+  result_type operator()() { return word; }
+  result_type word = 0;
+};
+
+TEST(FaultModelTest, NoiseFlipBoundIsExactAroundTheThreshold) {
+  // Every word within 3000 of the bound, on both sides, flips exactly
+  // when uniform_real_distribution fed that word draws below p.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const double p : kNoiseProbabilities) {
+    SCOPED_TRACE(p);
+    const std::uint64_t bound = NoiseFlipBound(p);
+    const std::uint64_t from = bound < 3000 ? 0 : bound - 3000;
+    const std::uint64_t to = bound > kMax - 3000 ? kMax : bound + 3000;
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    FixedWordEngine engine;
+    for (std::uint64_t x = from;; ++x) {
+      engine.word = x;
+      ASSERT_EQ(x <= bound, coin(engine) < p) << "word " << x;
+      if (x == to) break;
+    }
+  }
+  EXPECT_EQ(NoiseFlipBound(1.0), kMax);
+  EXPECT_EQ(NoiseFlipBound(1e-300), 0u);  // only word 0 draws below p
 }
 
 TEST(FaultModelTest, RejectsInvalidParameters) {

@@ -300,8 +300,23 @@ TEST(RenegotiationPolicyTest, RegimesMapToPaletteMembers) {
   // Unit-stride counting -> gray.
   AdaptiveWindowStats unit;
   unit.accesses = 64;
-  unit.stride_histogram[1] = 40;  // >= 0.5 * (accesses - 1)
+  unit.unit_stride_steps = 40;  // >= 0.5 * (accesses - 1)
   EXPECT_EQ(RecommendCodec(unit, 32, "t0"), "gray");
+}
+
+TEST(RenegotiationPolicyTest, UnitStrideRuleAtTheBoundAndOnePast) {
+  // 64 accesses take 63 steps, so the rule's bound is 0.5 * 63 = 31.5
+  // unit steps: 31 stays below it and 32 is the first count that meets
+  // it. No other regime matches (no in-sequence steps, sparse toggles).
+  AdaptiveWindowStats window;
+  window.accesses = 64;
+  window.raw_toggles = 64;  // density 1, far below 32 * 0.25
+  window.unit_stride_steps = 31;
+  EXPECT_EQ(RecommendCodec(window, 32, "t0"), "");
+  window.unit_stride_steps = 32;
+  EXPECT_EQ(RecommendCodec(window, 32, "t0"), "gray");
+  // ...and never a switch to the codec already active.
+  EXPECT_EQ(RecommendCodec(window, 32, "gray"), "");
 }
 
 // ---- wire layer ------------------------------------------------------

@@ -304,6 +304,49 @@ TEST(EvictionTest, EvictAndReadmitReproducesEvaluateWithResets) {
   }
 }
 
+TEST(EvictionTest, SwitchWhileEvictedOpensTheNewCodecsLines) {
+  // A switch applied to an evicted session with no later access: the
+  // accounting must still carry the switched-to codec's line geometry,
+  // as EvaluateWithSchedule's empty last piece does (inc-xor drives 32
+  // lines, adaptive 33 with its ESC line).
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kStrideSweep, 34, 64);
+  EncodingService service(ManualMode());
+  SessionConfig config;
+  config.codec_name = "inc-xor";
+  const std::uint64_t id = service.OpenSession(config);
+  SubmitAll(service, id, stream);
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  ASSERT_TRUE(service.EvictSession(id));
+  EXPECT_EQ(service.Renegotiate(id, "adaptive").status,
+            RenegotiateStatus::kApplied);
+
+  const SessionReport report = service.Report(id);
+  EXPECT_EQ(report.state, SessionState::kEvicted);
+  ASSERT_EQ(report.reset_points, std::vector<std::size_t>{64});
+  const std::vector<CodecSwitchPoint> switches = {{64, "adaptive"}};
+  ASSERT_EQ(report.renegotiations, switches);
+  const EvalResult want = EvaluateWithSchedule(
+      "inc-xor", CodecOptions{}, stream, switches, report.reset_points);
+  ASSERT_EQ(want.per_line.size(), 33u);
+  ExpectSameEvalResult(report.result, want);
+  EXPECT_EQ(report.result.codec_name, want.codec_name);
+
+  // Re-admission on the next access continues the same segment.
+  const std::vector<BusAccess> more =
+      TestStream(verify::StreamFamily::kStrideSweep, 35, 100);
+  SubmitAll(service, id, more);
+  service.CloseSession(id);
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  std::vector<BusAccess> whole = stream;
+  whole.insert(whole.end(), more.begin(), more.end());
+  const SessionReport after = service.Report(id);
+  EXPECT_EQ(after.readmissions, 1u);
+  ExpectSameEvalResult(after.result,
+                       EvaluateWithSchedule("inc-xor", CodecOptions{}, whole,
+                                            switches, after.reset_points));
+}
+
 TEST(EvictionTest, EvictRefusesWhileWorkIsQueued) {
   EncodingService service(ManualMode());
   const std::uint64_t id = service.OpenSession();
