@@ -128,8 +128,9 @@ struct AdaptiveSabotage {
 /// carrying its last state, with no per-line histogram and no peak. A
 /// cost is a difference of running totals, so where the flushes fall
 /// never changes it, and the totals equal a TransitionCounter's fed the
-/// same states word by word (the power-on first cycle included). A window
-/// that never completes is never costed. The codec keeps no window
+/// same states word by word (the power-on first cycle included).
+/// Accesses still buffered when the stream ends or Reset() runs are
+/// never costed: no decision reads them. The codec keeps no window
 /// statistics of its own: the renegotiation policy's input is the
 /// service's AdaptiveStatsTracker.
 ///
@@ -144,10 +145,9 @@ struct AdaptiveSabotage {
 /// are synchronized without trusting the discarded wire pattern.
 ///
 /// Reset() restores power-on on both ends (active member back to
-/// palette[0], zero costs, an empty buffer, cleared decision logs;
-/// the open window is dropped uncosted), so the codec
-/// survives EvaluateWithSchedule's reset points and the service layer's
-/// eviction / resync / degrade ladder.
+/// palette[0], zero costs, an empty buffer, cleared decision logs), so
+/// the codec survives EvaluateWithSchedule's reset points and the
+/// service layer's eviction / resync / degrade ladder.
 class AdaptiveCodec final : public Codec {
  public:
   /// Builds a member codec by factory name at the meta-codec's width.
@@ -238,8 +238,8 @@ class AdaptiveCodec final : public Codec {
     std::size_t accesses = 0;
     bool pending_esc = false;  // delayed-ESC sabotage carry
     std::size_t buffered = 0;  // accesses not yet costed, oldest first
-    std::array<Word, kCostBatch> addresses;  // masked
-    std::array<std::uint8_t, kCostBatch> sel;
+    std::array<Word, kCostBatch> addresses{};  // masked
+    std::array<std::uint8_t, kCostBatch> sel{};
     std::vector<AdaptiveDecision> decisions;
   };
 
@@ -268,7 +268,7 @@ class AdaptiveCodec final : public Codec {
   AdaptiveSabotage sabotage_;
   End enc_;
   End dec_;
-  std::array<BusState, kCostBatch> shadow_states_;  // CostBuffered scratch
+  std::array<BusState, kCostBatch> shadow_states_{};  // CostBuffered scratch
 };
 
 }  // namespace abenc
