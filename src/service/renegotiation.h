@@ -1,7 +1,7 @@
 // Server-side renegotiation policy: reads a session's windowed
 // stream-shape statistics (the last window its AdaptiveStatsTracker
-// completed) and proposes the regime winner the
-// paper's results predict for that traffic — always a member of
+// completed) and proposes the regime winner the paper's results predict
+// for that traffic — always a member of
 // AdaptiveCodec::DefaultPalette(). The policy only *recommends* — the
 // switch itself is pinned and applied by Session::Renegotiate, and a
 // client is free to ignore the hint.
