@@ -50,7 +50,7 @@ int main() {
         sim::RunBenchmarkWithCaches(program, l1, l1);
     sim::DramBusStats stats;
     const AddressTrace bus =
-        sim::ToDramBusTrace(cached.external.data, dram, &stats);
+        sim::ToDramBusTrace(cached.external.data(), dram, &stats);
     if (bus.size() < 32) continue;  // cache-resident kernel
     const auto accesses = bus.ToBusAccesses();
 

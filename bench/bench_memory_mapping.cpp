@@ -22,10 +22,10 @@ int main() {
   double map_sum = 0.0;
   std::size_t rows = 0;
   for (const sim::BenchmarkProgram& program : sim::BenchmarkPrograms()) {
-    const sim::ProgramTraces traces = sim::RunBenchmark(program);
+    const AddressTrace data = sim::RunBenchmark(program).data();
     const MemoryMapping mapping =
-        OptimizeMapping(traces.data, options.width, kFrameBits);
-    const AddressTrace remapped = ApplyMapping(traces.data, mapping);
+        OptimizeMapping(data, options.width, kFrameBits);
+    const AddressTrace remapped = ApplyMapping(data, mapping);
 
     const auto transitions = [&](const char* name,
                                  const AddressTrace& trace) {
@@ -33,11 +33,11 @@ int main() {
       return Evaluate(*codec, trace.ToBusAccesses(), options.stride, true)
           .transitions;
     };
-    const long long binary = transitions("binary", traces.data);
+    const long long binary = transitions("binary", data);
     const long long mapped = transitions("binary", remapped);
-    const long long bi = transitions("bus-invert", traces.data);
+    const long long bi = transitions("bus-invert", data);
     const long long mapped_bi = transitions("bus-invert", remapped);
-    const long long t0bi = transitions("t0-bi", traces.data);
+    const long long t0bi = transitions("t0-bi", data);
     const long long mapped_t0bi = transitions("t0-bi", remapped);
 
     const double savings = SavingsPercent(mapped, binary);

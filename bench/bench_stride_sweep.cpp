@@ -25,8 +25,8 @@ int main() {
   std::vector<double> sums(strides.size(), 0.0);
   std::size_t rows = 0;
   for (const sim::BenchmarkProgram& program : sim::BenchmarkPrograms()) {
-    const sim::ProgramTraces traces = sim::RunBenchmark(program);
-    const auto accesses = traces.instruction.ToBusAccesses();
+    const auto accesses =
+        sim::RunBenchmark(program).instruction().ToBusAccesses();
 
     CodecOptions options;
     auto binary = MakeCodec("binary", options);

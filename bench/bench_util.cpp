@@ -39,14 +39,13 @@ void MetricsSession::WriteIfEnabled() {
   std::cout << "metrics written to " << path_ << "\n";
 }
 
-const AddressTrace& SelectStream(const sim::ProgramTraces& traces,
-                                 StreamKind kind) {
+AddressTrace SelectStream(sim::ProgramTraces traces, StreamKind kind) {
   switch (kind) {
-    case StreamKind::kInstruction: return traces.instruction;
-    case StreamKind::kData: return traces.data;
-    case StreamKind::kMultiplexed: return traces.multiplexed;
+    case StreamKind::kInstruction: return traces.instruction();
+    case StreamKind::kData: return traces.data();
+    case StreamKind::kMultiplexed: break;
   }
-  return traces.multiplexed;
+  return std::move(traces.multiplexed);
 }
 
 void PrintExperimentalTable(const std::string& title, StreamKind kind,
@@ -63,9 +62,9 @@ void PrintExperimentalTable(const std::string& title, StreamKind kind,
   // materializing a second full-size BusAccess copy per stream.
   std::vector<NamedStream> streams;
   for (const sim::BenchmarkProgram& program : sim::BenchmarkPrograms()) {
-    sim::ProgramTraces traces = sim::RunBenchmark(program);
     streams.push_back(NamedStream{
-        program.name, {}, MakeTraceSource(SelectStream(traces, kind))});
+        program.name, {},
+        MakeTraceSource(SelectStream(sim::RunBenchmark(program), kind))});
   }
 
   RunOptions run;

@@ -77,8 +77,8 @@ void PrintExperimentalTable(const std::string& title, StreamKind kind,
                             const std::vector<std::string>& codec_names,
                             const BenchOptions& options = {});
 
-/// The stream of `kind` from one benchmark run.
-const AddressTrace& SelectStream(const sim::ProgramTraces& traces,
-                                 StreamKind kind);
+/// The stream of `kind` from one benchmark run; the multiplexed stream is
+/// moved out, a dedicated one is filtered from it.
+AddressTrace SelectStream(sim::ProgramTraces traces, StreamKind kind);
 
 }  // namespace abenc::bench

@@ -21,6 +21,7 @@ int main() {
 
   for (const sim::BenchmarkProgram& program : programs) {
     const sim::ProgramTraces traces = sim::RunBenchmark(program);
+    const AddressTrace data = traces.data();
     const sim::InstructionMix& mix = traces.mix;
     const double total = static_cast<double>(mix.total());
     const double alu =
@@ -36,9 +37,9 @@ int main() {
          FormatCount(static_cast<long long>(traces.retired_instructions)),
          FormatPercent(alu), FormatPercent(mem), FormatPercent(ctl),
          FormatPercent(100.0 * mix.taken_ratio()),
-         FormatPercent(InSequencePercent(traces.instruction, 32, 4)),
-         FormatPercent(InSequencePercent(traces.data, 32, 4)),
-         FormatFixed(WorkingSetSize(traces.data, 256), 0)});
+         FormatPercent(InSequencePercent(traces.instruction(), 32, 4)),
+         FormatPercent(InSequencePercent(data, 32, 4)),
+         FormatFixed(WorkingSetSize(data, 256), 0)});
   }
 
   std::cout << "Workload characterisation of the bundled kernels\n"

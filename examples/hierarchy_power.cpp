@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   const sim::DramConfig dram;
   sim::DramBusStats dram_stats;
   const AddressTrace dram_bus =
-      sim::ToDramBusTrace(cached.external.data, dram, &dram_stats);
+      sim::ToDramBusTrace(cached.external.data(), dram, &dram_stats);
 
   const std::vector<std::string> codes = {"t0", "bus-invert", "t0-bi",
                                           "dual-t0-bi"};

@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
             << FormatFixed(100.0 * mix.taken_ratio(), 0)
             << "% of branches taken)\n\n";
 
-  Report("instruction", traces.instruction, load_pf);
-  Report("data", traces.data, load_pf);
+  Report("instruction", traces.instruction(), load_pf);
+  Report("data", traces.data(), load_pf);
   Report("multiplexed", traces.multiplexed, load_pf);
   return 0;
 }

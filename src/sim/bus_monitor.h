@@ -1,4 +1,4 @@
-// Collects the address streams a program drives on the processor's bus.
+// Collects the address stream a program drives on the processor's bus.
 #pragma once
 
 #include <cstdint>
@@ -8,38 +8,36 @@
 
 namespace abenc::sim {
 
-/// Records the three streams the paper evaluates:
-///   - the dedicated instruction address bus (all fetch addresses),
-///   - the dedicated data address bus (all load/store addresses),
-///   - the multiplexed bus (fetch and data addresses in program order,
-///     as on the MIPS time-multiplexed address bus, with SEL derived
-///     from the access kind).
+/// Records the multiplexed bus: fetch and data addresses in program order,
+/// as on the MIPS time-multiplexed address bus, with SEL derived from the
+/// access kind. The paper's dedicated instruction and data buses carry
+/// exactly this stream filtered by kind (`AddressTrace::Filtered`,
+/// `ProgramTraces::instruction()` / `data()`), so each reference is
+/// written once.
 class BusMonitor final : public BusObserver {
  public:
-  explicit BusMonitor(std::string program_name = "") {
-    instruction_.set_name(program_name);
-    data_.set_name(program_name);
-    multiplexed_.set_name(std::move(program_name));
-  }
+  explicit BusMonitor(std::string program_name = "")
+      : multiplexed_(std::move(program_name)) {}
 
   void OnInstructionFetch(std::uint32_t address) override {
-    instruction_.Append(address, AccessKind::kInstruction);
     multiplexed_.Append(address, AccessKind::kInstruction);
   }
 
   void OnDataAccess(std::uint32_t address, bool is_store) override {
     (void)is_store;  // reads and writes look identical on the address bus
-    data_.Append(address, AccessKind::kData);
     multiplexed_.Append(address, AccessKind::kData);
   }
 
-  const AddressTrace& instruction_trace() const { return instruction_; }
-  const AddressTrace& data_trace() const { return data_; }
+  /// Size the stream for `references` appends, so a run that makes no
+  /// more never regrows it.
+  void Reserve(std::size_t references) { multiplexed_.Reserve(references); }
+
   const AddressTrace& multiplexed_trace() const { return multiplexed_; }
 
+  /// Move the recorded stream out of the monitor.
+  AddressTrace TakeMultiplexedTrace() { return std::move(multiplexed_); }
+
  private:
-  AddressTrace instruction_;
-  AddressTrace data_;
   AddressTrace multiplexed_;
 };
 

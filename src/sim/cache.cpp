@@ -72,18 +72,15 @@ void Cache::PublishMetrics(const std::string& label) const {
 CacheFilteredMonitor::CacheFilteredMonitor(const CacheConfig& icache_config,
                                            const CacheConfig& dcache_config,
                                            std::string program_name)
-    : icache_(icache_config), dcache_(dcache_config) {
-  instruction_.set_name(program_name);
-  data_.set_name(program_name);
-  multiplexed_.set_name(std::move(program_name));
-}
+    : icache_(icache_config),
+      dcache_(dcache_config),
+      multiplexed_(std::move(program_name)) {}
 
 void CacheFilteredMonitor::OnInstructionFetch(std::uint32_t address) {
   const Cache::AccessResult result = icache_.Access(address, false);
   if (!result.hit) {
-    const std::uint32_t line = icache_.LineAddress(address);
-    instruction_.Append(line, AccessKind::kInstruction);
-    multiplexed_.Append(line, AccessKind::kInstruction);
+    multiplexed_.Append(icache_.LineAddress(address),
+                        AccessKind::kInstruction);
   }
   // Instruction lines are never dirty (no self-modifying code here).
 }
@@ -92,12 +89,9 @@ void CacheFilteredMonitor::OnDataAccess(std::uint32_t address,
                                         bool is_store) {
   const Cache::AccessResult result = dcache_.Access(address, is_store);
   if (!result.hit) {
-    const std::uint32_t line = dcache_.LineAddress(address);
-    data_.Append(line, AccessKind::kData);
-    multiplexed_.Append(line, AccessKind::kData);
+    multiplexed_.Append(dcache_.LineAddress(address), AccessKind::kData);
   }
   if (result.writeback) {
-    data_.Append(result.victim_line, AccessKind::kData);
     multiplexed_.Append(result.victim_line, AccessKind::kData);
   }
 }

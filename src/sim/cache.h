@@ -92,9 +92,10 @@ class Cache {
 
 /// BusObserver that models split L1 caches in front of the external
 /// address bus: every CPU reference probes its cache, and only misses
-/// (plus dirty writebacks) appear on the recorded external streams, as
-/// line addresses. The natural stride of the external bus is then the
-/// cache line size, not the word size.
+/// (plus dirty writebacks) appear on the recorded external stream, as
+/// line addresses, multiplexed in program order like BusMonitor's. The
+/// natural stride of the external bus is then the cache line size, not
+/// the word size.
 class CacheFilteredMonitor final : public BusObserver {
  public:
   CacheFilteredMonitor(const CacheConfig& icache_config,
@@ -104,17 +105,15 @@ class CacheFilteredMonitor final : public BusObserver {
   void OnInstructionFetch(std::uint32_t address) override;
   void OnDataAccess(std::uint32_t address, bool is_store) override;
 
-  const AddressTrace& instruction_trace() const { return instruction_; }
-  const AddressTrace& data_trace() const { return data_; }
   const AddressTrace& multiplexed_trace() const { return multiplexed_; }
+  /// Move the recorded stream out of the monitor.
+  AddressTrace TakeMultiplexedTrace() { return std::move(multiplexed_); }
   const Cache& icache() const { return icache_; }
   const Cache& dcache() const { return dcache_; }
 
  private:
   Cache icache_;
   Cache dcache_;
-  AddressTrace instruction_;
-  AddressTrace data_;
   AddressTrace multiplexed_;
 };
 

@@ -13,10 +13,31 @@ namespace {
 // registry is installed).
 void PublishTraceMetrics(const ProgramTraces& traces) {
   if (obs::Installed() == nullptr) return;
-  obs::Count("sim.bus.instruction_addresses", traces.instruction.size());
-  obs::Count("sim.bus.data_addresses", traces.data.size());
-  obs::Count("sim.bus.multiplexed_addresses", traces.multiplexed.size());
+  const std::size_t total = traces.multiplexed.size();
+  const std::size_t fetches =
+      traces.multiplexed.Count(AccessKind::kInstruction);
+  obs::Count("sim.bus.instruction_addresses", fetches);
+  obs::Count("sim.bus.data_addresses", total - fetches);
+  obs::Count("sim.bus.multiplexed_addresses", total);
   obs::Count("sim.benchmarks_run");
+}
+
+// Assembles `program` and runs it to BREAK with `observer` on its bus.
+// Returns the CPU's counts; the stream stays with the observer.
+ProgramTraces RunToBreak(const BenchmarkProgram& program,
+                         BusObserver& observer) {
+  Memory memory;
+  Cpu cpu(memory, &observer);
+  cpu.LoadProgram(Assemble(program.source));
+  if (cpu.Run(program.step_budget) != StopReason::kBreak) {
+    throw ExecutionError("benchmark '" + program.name +
+                         "' exhausted its step budget of " +
+                         std::to_string(program.step_budget));
+  }
+  ProgramTraces traces;
+  traces.retired_instructions = cpu.retired_instructions();
+  traces.mix = cpu.instruction_mix();
+  return traces;
 }
 
 }  // namespace
@@ -68,23 +89,13 @@ const BenchmarkProgram& FindBenchmarkProgram(const std::string& name) {
 }
 
 ProgramTraces RunBenchmark(const BenchmarkProgram& program) {
-  const AssembledProgram assembled = Assemble(program.source);
-  Memory memory;
   BusMonitor monitor(program.name);
-  Cpu cpu(memory, &monitor);
-  cpu.LoadProgram(assembled);
-  const StopReason reason = cpu.Run(program.step_budget);
-  if (reason != StopReason::kBreak) {
-    throw ExecutionError("benchmark '" + program.name +
-                         "' exhausted its step budget of " +
-                         std::to_string(program.step_budget));
-  }
-  ProgramTraces traces;
-  traces.instruction = monitor.instruction_trace();
-  traces.data = monitor.data_trace();
-  traces.multiplexed = monitor.multiplexed_trace();
-  traces.retired_instructions = cpu.retired_instructions();
-  traces.mix = cpu.instruction_mix();
+  // Each retired instruction drives one fetch and at most one data
+  // reference, so twice the step budget bounds the stream and it never
+  // regrows. Capacity the run leaves untouched is address space, not RSS.
+  monitor.Reserve(2 * program.step_budget);
+  ProgramTraces traces = RunToBreak(program, monitor);
+  traces.multiplexed = monitor.TakeMultiplexedTrace();
   PublishTraceMetrics(traces);
   return traces;
 }
@@ -92,22 +103,10 @@ ProgramTraces RunBenchmark(const BenchmarkProgram& program) {
 CachedProgramTraces RunBenchmarkWithCaches(const BenchmarkProgram& program,
                                            const CacheConfig& icache,
                                            const CacheConfig& dcache) {
-  const AssembledProgram assembled = Assemble(program.source);
-  Memory memory;
   CacheFilteredMonitor monitor(icache, dcache, program.name);
-  Cpu cpu(memory, &monitor);
-  cpu.LoadProgram(assembled);
-  if (cpu.Run(program.step_budget) != StopReason::kBreak) {
-    throw ExecutionError("benchmark '" + program.name +
-                         "' exhausted its step budget of " +
-                         std::to_string(program.step_budget));
-  }
   CachedProgramTraces result;
-  result.external.instruction = monitor.instruction_trace();
-  result.external.data = monitor.data_trace();
-  result.external.multiplexed = monitor.multiplexed_trace();
-  result.external.retired_instructions = cpu.retired_instructions();
-  result.external.mix = cpu.instruction_mix();
+  result.external = RunToBreak(program, monitor);
+  result.external.multiplexed = monitor.TakeMultiplexedTrace();
   result.icache_miss_rate = monitor.icache().stats().miss_rate();
   result.dcache_miss_rate = monitor.dcache().stats().miss_rate();
   PublishTraceMetrics(result.external);

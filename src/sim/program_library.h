@@ -39,17 +39,25 @@ const std::vector<BenchmarkProgram>& ExtendedBenchmarkPrograms();
 /// Lookup by name; throws std::out_of_range for unknown names.
 const BenchmarkProgram& FindBenchmarkProgram(const std::string& name);
 
-/// The captured address streams of one benchmark run.
+/// The captured address streams of one benchmark run. Only the
+/// multiplexed bus is recorded; the dedicated buses are derived from it,
+/// one filtered copy per call, so bind the result where it is read
+/// repeatedly.
 struct ProgramTraces {
-  AddressTrace instruction;
-  AddressTrace data;
-  AddressTrace multiplexed;
+  AddressTrace multiplexed;  // fetches and data references, program order
   std::uint64_t retired_instructions = 0;
   InstructionMix mix;
+
+  /// The dedicated instruction address bus: every fetch address.
+  AddressTrace instruction() const {
+    return multiplexed.Filtered(AccessKind::kInstruction);
+  }
+  /// The dedicated data address bus: every load/store address.
+  AddressTrace data() const { return multiplexed.Filtered(AccessKind::kData); }
 };
 
 /// Assemble, load and run a benchmark to completion (BREAK), capturing its
-/// bus streams. Throws ExecutionError if the step budget is exhausted —
+/// bus stream. Throws ExecutionError if the step budget is exhausted —
 /// i.e. every library program is guaranteed to halt or the tests fail.
 ProgramTraces RunBenchmark(const BenchmarkProgram& program);
 

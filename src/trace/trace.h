@@ -48,9 +48,17 @@ class AddressTrace {
   void Clear() { entries_.clear(); }
   void Reserve(std::size_t n) { entries_.reserve(n); }
 
+  /// Number of references of one kind.
+  std::size_t Count(AccessKind kind) const {
+    std::size_t n = 0;
+    for (const TraceEntry& e : entries_) n += e.kind == kind ? 1 : 0;
+    return n;
+  }
+
   /// Keep only references of one kind (e.g. the dedicated instruction bus).
   AddressTrace Filtered(AccessKind kind) const {
     AddressTrace out(name_);
+    out.Reserve(Count(kind));
     for (const TraceEntry& e : entries_) {
       if (e.kind == kind) out.Append(e);
     }

@@ -84,12 +84,16 @@ TEST(CacheFilteredMonitorTest, OnlyMissesReachTheExternalBus) {
   for (std::uint32_t a = 0x400000; a < 0x400010; a += 4) {
     monitor.OnInstructionFetch(a);
   }
-  EXPECT_EQ(monitor.instruction_trace().size(), 1u);
-  EXPECT_EQ(monitor.instruction_trace()[0].address, 0x400000u);
+  const AddressTrace fetches =
+      monitor.multiplexed_trace().Filtered(AccessKind::kInstruction);
+  EXPECT_EQ(fetches.size(), 1u);
+  EXPECT_EQ(fetches[0].address, 0x400000u);
   // Addresses on the external bus are line-aligned.
   monitor.OnDataAccess(0x1234'5678 & ~0u, false);
-  ASSERT_EQ(monitor.data_trace().size(), 1u);
-  EXPECT_EQ(monitor.data_trace()[0].address % 16, 0u);
+  const AddressTrace data =
+      monitor.multiplexed_trace().Filtered(AccessKind::kData);
+  ASSERT_EQ(data.size(), 1u);
+  EXPECT_EQ(data[0].address % 16, 0u);
 }
 
 TEST(CacheFilteredMonitorTest, WritebackAppearsAsDataReference) {
@@ -98,8 +102,10 @@ TEST(CacheFilteredMonitorTest, WritebackAppearsAsDataReference) {
   monitor.OnDataAccess(0x0040, false);
   monitor.OnDataAccess(0x0080, false);  // evicts dirty 0x0000
   // 3 misses + 1 writeback.
-  EXPECT_EQ(monitor.data_trace().size(), 4u);
-  EXPECT_EQ(monitor.data_trace()[3].address, 0x0000u);
+  const AddressTrace data =
+      monitor.multiplexed_trace().Filtered(AccessKind::kData);
+  EXPECT_EQ(data.size(), 4u);
+  EXPECT_EQ(data[3].address, 0x0000u);
 }
 
 TEST(RunBenchmarkWithCachesTest, ExternalStreamIsMuchShorterThanRaw) {

@@ -32,7 +32,7 @@ long long Transitions(const std::string& codec_name,
 TEST(PaperClaimsTest, T0BeatsBusInvertOnEveryInstructionStream) {
   for (const sim::BenchmarkProgram& p : sim::BenchmarkPrograms()) {
     const auto traces = sim::RunBenchmark(p);
-    const auto accesses = traces.instruction.ToBusAccesses();
+    const auto accesses = traces.instruction().ToBusAccesses();
     EXPECT_LT(Transitions("t0", accesses), Transitions("bus-invert", accesses))
         << p.name;
   }
@@ -43,7 +43,7 @@ TEST(PaperClaimsTest, BusInvertNeverSavesOnInstructionStreams) {
   // majority voter never fires and bus-invert degenerates to binary.
   for (const sim::BenchmarkProgram& p : sim::BenchmarkPrograms()) {
     const auto traces = sim::RunBenchmark(p);
-    const auto accesses = traces.instruction.ToBusAccesses();
+    const auto accesses = traces.instruction().ToBusAccesses();
     EXPECT_EQ(Transitions("bus-invert", accesses),
               Transitions("binary", accesses))
         << p.name;
@@ -60,7 +60,7 @@ TEST(PaperClaimsTest, BusInvertBeatsT0OnDataStreamsOverall) {
   std::size_t rows = 0;
   for (const sim::BenchmarkProgram& p : sim::BenchmarkPrograms()) {
     const auto traces = sim::RunBenchmark(p);
-    const auto accesses = traces.data.ToBusAccesses();
+    const auto accesses = traces.data().ToBusAccesses();
     const long long bi = Transitions("bus-invert", accesses);
     const long long t0 = Transitions("t0", accesses);
     bi_total += bi;
@@ -93,7 +93,7 @@ TEST(PaperClaimsTest, DualT0NeverSavesOnPureDataStreams) {
   // binary by construction.
   for (const sim::BenchmarkProgram& p : sim::BenchmarkPrograms()) {
     const auto traces = sim::RunBenchmark(p);
-    const auto accesses = traces.data.ToBusAccesses();
+    const auto accesses = traces.data().ToBusAccesses();
     EXPECT_EQ(Transitions("dual-t0", accesses),
               Transitions("binary", accesses))
         << p.name;
@@ -104,7 +104,7 @@ TEST(PaperClaimsTest, T0FamilyIdenticalOnInstructionStreams) {
   // Table 5: on a pure instruction bus (SEL always high) T0, dual T0 and
   // dual T0_BI reduce to the same behaviour.
   const auto traces = sim::RunBenchmark(sim::FindBenchmarkProgram("gzip"));
-  const auto accesses = traces.instruction.ToBusAccesses();
+  const auto accesses = traces.instruction().ToBusAccesses();
   const long long t0 = Transitions("t0", accesses);
   EXPECT_EQ(Transitions("dual-t0", accesses), t0);
   EXPECT_EQ(Transitions("dual-t0-bi", accesses), t0);

@@ -92,11 +92,11 @@ TEST(MemoryMappingTest, RemappingIsReversibleThroughTheInverseTable) {
 TEST(MemoryMappingTest, HelpsOnRealDataStreams) {
   // On the database-flavoured kernel (irregular frame hopping) the
   // remap should not hurt and typically helps noticeably.
-  const auto traces = sim::RunBenchmark(sim::FindBenchmarkProgram("oracle"));
-  const long long before = BinaryTransitions(traces.data);
-  const MemoryMapping mapping = OptimizeMapping(traces.data, 32, 8);
-  const long long after =
-      BinaryTransitions(ApplyMapping(traces.data, mapping));
+  const AddressTrace data =
+      sim::RunBenchmark(sim::FindBenchmarkProgram("oracle")).data();
+  const long long before = BinaryTransitions(data);
+  const MemoryMapping mapping = OptimizeMapping(data, 32, 8);
+  const long long after = BinaryTransitions(ApplyMapping(data, mapping));
   EXPECT_LT(after, before);
 }
 

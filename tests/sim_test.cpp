@@ -2,6 +2,11 @@
 // CPU semantics, and the benchmark program library.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "sim/assembler.h"
 #include "sim/bus_monitor.h"
 #include "sim/cpu.h"
@@ -81,6 +86,72 @@ TEST(MemoryTest, RejectsUnalignedAccess) {
   Memory m;
   EXPECT_THROW(m.LoadWord(0x1001), std::runtime_error);
   EXPECT_THROW(m.StoreHalf(0x1001, 1), std::runtime_error);
+  EXPECT_THROW(m.LoadHalf(0x1003), std::runtime_error);
+  for (std::uint32_t offset = 1; offset < 4; ++offset) {
+    EXPECT_THROW(m.StoreWord(0x1000 + offset, 1), std::runtime_error)
+        << offset;
+  }
+  // A refused store allocates nothing.
+  EXPECT_EQ(m.allocated_pages(), 0u);
+}
+
+// The page table's seams: 0x00400000 starts the second 4 MiB leaf, and
+// 0xFFFFFFFC is the last word of the last leaf.
+TEST(MemoryTest, WordsMeetAcrossALeafEdge) {
+  Memory m;
+  m.StoreWord(0x003FFFFC, 0x11223344);
+  m.StoreWord(0x00400000, 0x55667788);
+  EXPECT_EQ(m.LoadWord(0x003FFFFC), 0x11223344u);
+  EXPECT_EQ(m.LoadWord(0x00400000), 0x55667788u);
+  EXPECT_EQ(m.LoadByte(0x003FFFFF), 0x11u);
+  EXPECT_EQ(m.LoadByte(0x00400000), 0x88u);
+  EXPECT_EQ(m.allocated_pages(), 2u);
+}
+
+TEST(MemoryTest, TopWordOfTheAddressSpace) {
+  Memory m;
+  m.StoreWord(0xFFFFFFFC, 0xCAFEF00D);
+  EXPECT_EQ(m.LoadWord(0xFFFFFFFC), 0xCAFEF00Du);
+  EXPECT_EQ(m.LoadHalf(0xFFFFFFFE), 0xCAFEu);
+  EXPECT_EQ(m.LoadByte(0xFFFFFFFF), 0xCAu);
+  EXPECT_EQ(m.LoadWord(0xFFFFFFF8), 0u);
+  EXPECT_EQ(m.allocated_pages(), 1u);
+}
+
+TEST(MemoryTest, HalfInTheLastTwoBytesOfAPage) {
+  Memory m;
+  const std::uint32_t last = kDataBase + Memory::kPageSize - 2;
+  m.StoreHalf(last, 0xBEEF);
+  EXPECT_EQ(m.LoadHalf(last), 0xBEEFu);
+  EXPECT_EQ(m.LoadByte(last), 0xEFu);
+  EXPECT_EQ(m.LoadByte(last + 1), 0xBEu);
+  EXPECT_EQ(m.LoadWord(last - 2), 0xBEEF0000u);
+  EXPECT_EQ(m.LoadHalf(last + 2), 0u);  // the next page is untouched
+  EXPECT_EQ(m.allocated_pages(), 1u);
+}
+
+TEST(MemoryTest, UntouchedPageInAnAllocatedLeafReadsZero) {
+  Memory m;
+  m.StoreWord(kDataBase, 7);  // allocates the leaf and one page of it
+  EXPECT_EQ(m.LoadWord(kDataBase + Memory::kPageSize), 0u);
+  EXPECT_EQ(m.LoadHalf(kDataBase + 2 * Memory::kPageSize + 2), 0u);
+  EXPECT_EQ(m.LoadByte(kDataBase - 1), 0u);
+  EXPECT_EQ(m.allocated_pages(), 1u);
+  EXPECT_EQ(m.LoadWord(kDataBase), 7u);
+}
+
+TEST(MemoryTest, CountsPagesAtBothEndsOfTheSpace) {
+  Memory m;
+  m.StoreByte(0x00000000, 1);
+  m.StoreWord(0xFFFFFFFC, 2);
+  EXPECT_EQ(m.allocated_pages(), 2u);
+  m.StoreByte(Memory::kPageSize - 1, 3);  // still the first page
+  m.StoreHalf(0xFFFFF000, 4);             // still the last page
+  EXPECT_EQ(m.allocated_pages(), 2u);
+  EXPECT_EQ(m.LoadByte(0x00000000), 1u);
+  EXPECT_EQ(m.LoadByte(Memory::kPageSize - 1), 3u);
+  EXPECT_EQ(m.LoadHalf(0xFFFFF000), 4u);
+  EXPECT_EQ(m.LoadWord(0xFFFFFFFC), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,14 +463,17 @@ TEST(CpuTest, BusObserverSeesFetchesAndData) {
       "sw $t1, 4($t0)\n"  // 1 fetch + 1 data
       "halt\n"));         // 1 fetch
   cpu.Run(100);
-  EXPECT_EQ(monitor.instruction_trace().size(), 5u);
-  EXPECT_EQ(monitor.data_trace().size(), 2u);
-  EXPECT_EQ(monitor.multiplexed_trace().size(), 7u);
-  EXPECT_EQ(monitor.data_trace()[0].address, kDataBase);
-  EXPECT_EQ(monitor.data_trace()[1].address, kDataBase + 4);
+  const AddressTrace& bus = monitor.multiplexed_trace();
+  const AddressTrace fetches = bus.Filtered(AccessKind::kInstruction);
+  const AddressTrace data = bus.Filtered(AccessKind::kData);
+  EXPECT_EQ(fetches.size(), 5u);
+  EXPECT_EQ(data.size(), 2u);
+  EXPECT_EQ(bus.size(), 7u);
+  EXPECT_EQ(data[0].address, kDataBase);
+  EXPECT_EQ(data[1].address, kDataBase + 4);
   // Fetches are word-sequential from the entry point.
-  EXPECT_EQ(monitor.instruction_trace()[0].address, kTextBase);
-  EXPECT_EQ(monitor.instruction_trace()[4].address, kTextBase + 16);
+  EXPECT_EQ(fetches[0].address, kTextBase);
+  EXPECT_EQ(fetches[4].address, kTextBase + 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,16 +487,17 @@ TEST_P(BenchmarkProgramTest, AssemblesRunsAndHalts) {
   const ProgramTraces traces = RunBenchmark(program);
   // Enough references for stable statistics, and every stream non-trivial.
   EXPECT_GT(traces.retired_instructions, 20000u) << program.name;
-  EXPECT_GT(traces.data.size(), 500u) << program.name;
-  EXPECT_EQ(traces.multiplexed.size(),
-            traces.instruction.size() + traces.data.size());
+  const std::size_t fetches = traces.instruction().size();
+  const std::size_t data = traces.data().size();
+  EXPECT_GT(data, 500u) << program.name;
+  EXPECT_EQ(traces.multiplexed.size(), fetches + data);
 }
 
 TEST_P(BenchmarkProgramTest, StreamStatisticsMatchThePaperRegime) {
   const ProgramTraces traces =
       RunBenchmark(FindBenchmarkProgram(GetParam()));
-  const double instr_seq = InSequencePercent(traces.instruction, 32, 4);
-  const double data_seq = InSequencePercent(traces.data, 32, 4);
+  const double instr_seq = InSequencePercent(traces.instruction(), 32, 4);
+  const double data_seq = InSequencePercent(traces.data(), 32, 4);
   const double mux_seq = InSequencePercent(traces.multiplexed, 32, 4);
   // Instruction streams are dominated by sequential fetches; data streams
   // are mostly non-sequential; the multiplexed stream sits in between.
@@ -436,6 +511,114 @@ INSTANTIATE_TEST_SUITE_P(
     AllPrograms, BenchmarkProgramTest,
     ::testing::Values("gzip", "gunzip", "ghostview", "espresso", "nova",
                       "jedi", "latex", "matlab", "oracle"));
+
+// ---------------------------------------------------------------------------
+// Captured streams, pinned
+// ---------------------------------------------------------------------------
+
+// 64-bit FNV-1a over every reference of a stream: its address as eight
+// little-endian bytes, then its kind as one byte.
+std::uint64_t StreamHash(const AddressTrace& trace) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto mix = [&hash](std::uint64_t byte) {
+    hash = (hash ^ byte) * 0x100000001B3ULL;
+  };
+  for (const TraceEntry& e : trace) {
+    for (unsigned b = 0; b < 8; ++b) mix((e.address >> (8 * b)) & 0xFF);
+    mix(static_cast<std::uint64_t>(e.kind));
+  }
+  return hash;
+}
+
+struct CapturePin {
+  std::string_view program;
+  std::uint64_t stream_hash;  // StreamHash of the multiplexed stream
+  std::uint64_t retired;
+  // alu, shift, muldiv, load, store, branch, taken, jump, call, other
+  InstructionMix mix;
+};
+
+// Taken from the captures of a monitor that recorded all three buses
+// separately: a change to the interpreter, the memory model or the
+// monitor that moves one reference of one program fails here, by name.
+constexpr CapturePin kCapturePins[] = {
+    {"gzip", 0xa6af0fbec1700e46ULL, 729082,
+     {429728, 1024, 2048, 67964, 2962, 225355, 93868, 0, 0, 1}},
+    {"gunzip", 0xd791bfd0d0f015dcULL, 110495,
+     {57611, 3056, 4000, 8700, 12236, 24891, 12239, 0, 0, 1}},
+    {"ghostview", 0x4dbb2f0450a777d1ULL, 121882,
+     {69843, 832, 300, 8342, 4016, 38548, 18218, 0, 0, 1}},
+    {"espresso", 0xdf723e48fe4dd018ULL, 247252,
+     {139948, 2335, 128, 10352, 2281, 92207, 49092, 0, 0, 1}},
+    {"nova", 0xa7b4d8661460c3ddULL, 166726,
+     {84736, 24624, 15008, 21520, 1153, 19684, 10344, 0, 0, 1}},
+    {"jedi", 0xa76346f1d14f5d9eULL, 919357,
+     {457537, 77198, 150272, 149114, 4979, 77240, 39271, 1508, 1508, 1}},
+    {"latex", 0xd5f277a49f479b0aULL, 238650,
+     {137352, 4001, 8002, 25350, 8321, 55623, 20343, 0, 0, 1}},
+    {"matlab", 0xdf9aa94d3ce35324ULL, 340088,
+     {149418, 34048, 89344, 29248, 3329, 34700, 17652, 0, 0, 1}},
+    {"oracle", 0xb5e41f1fa6df7c29ULL, 387611,
+     {177614, 54223, 10048, 23968, 13449, 108308, 45923, 0, 0, 1}},
+    {"fft", 0x6e0b90a9080e9e65ULL, 58443,
+     {26662, 11272, 2048, 5120, 5121, 8219, 4371, 0, 0, 1}},
+    {"qsort", 0xa5b88fa72002bd03ULL, 86423,
+     {35702, 10110, 1024, 11252, 8065, 18943, 9676, 663, 663, 1}},
+    {"dhry", 0x1b3483e0aca644bbULL, 36034,
+     {11677, 128, 128, 9280, 1889, 12931, 5627, 0, 0, 1}},
+};
+
+class CapturedStreamTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  static const CapturePin& Pin(const std::string& program) {
+    for (const CapturePin& pin : kCapturePins) {
+      if (pin.program == program) return pin;
+    }
+    throw std::out_of_range("no capture pin for " + program);
+  }
+};
+
+TEST_P(CapturedStreamTest, StreamRetiredCountAndMixArePinned) {
+  const CapturePin& pin = Pin(GetParam());
+  const ProgramTraces traces = RunBenchmark(FindBenchmarkProgram(GetParam()));
+  EXPECT_EQ(StreamHash(traces.multiplexed), pin.stream_hash) << GetParam();
+  EXPECT_EQ(traces.retired_instructions, pin.retired) << GetParam();
+  const InstructionMix& mix = traces.mix;
+  EXPECT_EQ(mix.alu, pin.mix.alu) << GetParam();
+  EXPECT_EQ(mix.shift, pin.mix.shift) << GetParam();
+  EXPECT_EQ(mix.muldiv, pin.mix.muldiv) << GetParam();
+  EXPECT_EQ(mix.load, pin.mix.load) << GetParam();
+  EXPECT_EQ(mix.store, pin.mix.store) << GetParam();
+  EXPECT_EQ(mix.branch, pin.mix.branch) << GetParam();
+  EXPECT_EQ(mix.branch_taken, pin.mix.branch_taken) << GetParam();
+  EXPECT_EQ(mix.jump, pin.mix.jump) << GetParam();
+  EXPECT_EQ(mix.call, pin.mix.call) << GetParam();
+  EXPECT_EQ(mix.other, pin.mix.other) << GetParam();
+}
+
+TEST_P(CapturedStreamTest, DedicatedBusesAreTheMultiplexedOneByKind) {
+  const ProgramTraces traces = RunBenchmark(FindBenchmarkProgram(GetParam()));
+  const AddressTrace fetches = traces.instruction();
+  const AddressTrace data = traces.data();
+  EXPECT_EQ(fetches.entries(),
+            traces.multiplexed.Filtered(AccessKind::kInstruction).entries())
+      << GetParam();
+  EXPECT_EQ(data.entries(),
+            traces.multiplexed.Filtered(AccessKind::kData).entries())
+      << GetParam();
+  EXPECT_EQ(fetches.name(), GetParam());
+  EXPECT_EQ(data.name(), GetParam());
+  // One fetch per retired instruction, one data reference per load or
+  // store: counts the CPU keeps apart from the monitor.
+  EXPECT_EQ(fetches.size(), traces.retired_instructions) << GetParam();
+  EXPECT_EQ(data.size(), traces.mix.load + traces.mix.store) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, CapturedStreamTest,
+    ::testing::Values("gzip", "gunzip", "ghostview", "espresso", "nova",
+                      "jedi", "latex", "matlab", "oracle", "fft", "qsort",
+                      "dhry"));
 
 TEST(CpuTest, RegImmBranchesCompareAgainstZero) {
   const std::string source =
