@@ -62,9 +62,9 @@ void PrintExperimentalTable(const std::string& title, StreamKind kind,
   // materializing a second full-size BusAccess copy per stream.
   std::vector<NamedStream> streams;
   for (const sim::BenchmarkProgram& program : sim::BenchmarkPrograms()) {
-    streams.push_back(NamedStream{
-        program.name, {},
-        MakeTraceSource(SelectStream(sim::RunBenchmark(program), kind))});
+    auto source =
+        MakeTraceSource(SelectStream(sim::RunBenchmark(program), kind));
+    streams.push_back(NamedStream{program.name, {}, std::move(source)});
   }
 
   RunOptions run;

@@ -79,8 +79,7 @@ CacheFilteredMonitor::CacheFilteredMonitor(const CacheConfig& icache_config,
 void CacheFilteredMonitor::OnInstructionFetch(std::uint32_t address) {
   const Cache::AccessResult result = icache_.Access(address, false);
   if (!result.hit) {
-    multiplexed_.Append(icache_.LineAddress(address),
-                        AccessKind::kInstruction);
+    multiplexed_.Append(icache_.LineAddress(address), AccessKind::kInstruction);
   }
   // Instruction lines are never dirty (no self-modifying code here).
 }

@@ -88,8 +88,7 @@ TEST(MemoryTest, RejectsUnalignedAccess) {
   EXPECT_THROW(m.StoreHalf(0x1001, 1), std::runtime_error);
   EXPECT_THROW(m.LoadHalf(0x1003), std::runtime_error);
   for (std::uint32_t offset = 1; offset < 4; ++offset) {
-    EXPECT_THROW(m.StoreWord(0x1000 + offset, 1), std::runtime_error)
-        << offset;
+    EXPECT_THROW(m.StoreWord(0x1000 + offset, 1), std::runtime_error) << offset;
   }
   // A refused store allocates nothing.
   EXPECT_EQ(m.allocated_pages(), 0u);
