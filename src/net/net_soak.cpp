@@ -656,7 +656,9 @@ NetSoakOutcome RunNetSoak(const NetSoakOptions& options) {
   RunHealthCheck(soak, plans.size());
 
   soak.outcome.server = server.stats();
+  // After Stop() the loop has handled every CLOSE it read.
   server.Stop();
+  soak.outcome.CheckReleased(server.service());
   soak.outcome.elapsed_s = clock.ElapsedSeconds();
   return std::move(soak.outcome);
 }

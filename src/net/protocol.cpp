@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -69,6 +70,31 @@ Status AdmissionToStatus(service::Admission admission) {
   return Status::kInternal;
 }
 
+namespace {
+
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+// The wire's u64: one store on a little-endian host.
+void StoreLe64(std::uint8_t* out, std::uint64_t v) {
+  if constexpr (kLittleEndian) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> 8 * i);
+  }
+}
+
+std::uint64_t LoadLe64(const std::uint8_t* in) {
+  std::uint64_t v = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, in, sizeof(v));
+  } else {
+    for (int i = 7; i >= 0; --i) v = (v << 8) | in[i];
+  }
+  return v;
+}
+
+}  // namespace
+
 void Writer::U16(std::uint16_t v) {
   bytes_.push_back(static_cast<std::uint8_t>(v));
   bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -80,16 +106,18 @@ void Writer::U32(std::uint32_t v) {
   }
 }
 
-void Writer::U64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::U64(std::uint64_t v) { StoreLe64(Extend(8), v); }
 
 void Writer::F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::Bytes(std::span<const std::uint8_t> bytes) {
   bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+}
+
+std::uint8_t* Writer::Extend(std::size_t n) {
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + n);
+  return bytes_.data() + at;
 }
 
 void Writer::Str16(std::string_view text) {
@@ -131,13 +159,7 @@ std::uint32_t Reader::U32() {
   return v;
 }
 
-std::uint64_t Reader::U64() {
-  Need(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | bytes_[pos_ + i];
-  pos_ += 8;
-  return v;
-}
+std::uint64_t Reader::U64() { return LoadLe64(Bytes(8).data()); }
 
 double Reader::F64() { return std::bit_cast<double>(U64()); }
 
@@ -147,6 +169,13 @@ std::string Reader::Str16() {
   std::string text(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
   pos_ += len;
   return text;
+}
+
+std::span<const std::uint8_t> Reader::Bytes(std::size_t n) {
+  Need(n);
+  const std::span<const std::uint8_t> bytes = bytes_.subspan(pos_, n);
+  pos_ += n;
+  return bytes;
 }
 
 void Reader::ExpectEnd() const {
@@ -199,8 +228,27 @@ std::optional<Frame> TryExtractFrame(std::vector<std::uint8_t>& buffer,
 
 void Put::Columns(std::span<const BusAccess> rows) {
   U32(rows.size());
-  for (const BusAccess& access : rows) U64(access.address);
-  for (const BusAccess& access : rows) U8(access.sel);
+  std::uint8_t* address = out_.Extend(rows.size() * 9);
+  std::uint8_t* sel = address + rows.size() * 8;
+  for (const BusAccess& access : rows) {
+    StoreLe64(address, access.address);
+    address += 8;
+    *sel++ = access.sel ? 1 : 0;
+  }
+}
+
+void Put::Columns(std::span<const Word> addresses,
+                  std::span<const std::uint8_t> sel) {
+  U32(addresses.size());
+  std::uint8_t* out = out_.Extend(addresses.size() * 8 + sel.size());
+  if (kLittleEndian && !addresses.empty()) {
+    std::memcpy(out, addresses.data(), addresses.size_bytes());
+  } else {
+    for (std::size_t i = 0; i < addresses.size(); ++i) {
+      StoreLe64(out + 8 * i, addresses[i]);
+    }
+  }
+  std::ranges::copy(sel, out + addresses.size() * 8);
 }
 
 void Get::Columns(service::ColumnBatch& columns) {
@@ -213,10 +261,16 @@ void Get::Columns(service::ColumnBatch& columns) {
                         " body bytes) but carry " +
                         std::to_string(in_.remaining()));
   }
+  const std::span<const std::uint8_t> bytes = in_.Bytes(body);
   columns.addresses.resize(count);
-  for (Word& address : columns.addresses) address = in_.U64();
-  columns.sel.resize(count);
-  for (std::uint8_t& sel : columns.sel) sel = in_.U8();
+  if (kLittleEndian && count != 0) {
+    std::memcpy(columns.addresses.data(), bytes.data(), body - count);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      columns.addresses[i] = LoadLe64(bytes.data() + 8 * i);
+    }
+  }
+  columns.sel.assign(bytes.end() - count, bytes.end());
 }
 
 void Get::CheckCount(std::uint32_t count, std::size_t min_bytes,

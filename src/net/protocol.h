@@ -152,6 +152,9 @@ class Writer {
   void Bytes(std::span<const std::uint8_t> bytes);
   /// u16 length + raw bytes; throws WireError if longer than 65535.
   void Str16(std::string_view text);
+  /// Grow the payload by `n` bytes and return them, for the caller to
+  /// fill in place.
+  std::uint8_t* Extend(std::size_t n);
 
   std::vector<std::uint8_t> Take() { return std::move(bytes_); }
 
@@ -172,6 +175,8 @@ class Reader {
   std::uint64_t U64();
   double F64();
   std::string Str16();
+  /// The next `n` raw bytes, in place.
+  std::span<const std::uint8_t> Bytes(std::size_t n);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   /// Throws WireError(kBadFrame) if payload bytes are left over —
@@ -242,12 +247,14 @@ class Put {
   /// SUBMIT's and SUBMIT_STREAM's body: u32 count, u64 address ×count,
   /// u8 sel ×count — from rows, or from any pair of address and SEL
   /// columns (a ColumnBatch, or caller-owned spans), without a copy.
+  /// The body is sized once and filled in place.
   void Columns(std::span<const BusAccess> rows);
   void Columns(const auto& columns) {
-    U32(columns.addresses.size());
-    for (Word address : columns.addresses) U64(address);
-    out_.Bytes(columns.sel);
+    Columns(std::span<const Word>(columns.addresses),
+            std::span<const std::uint8_t>(columns.sel));
   }
+  void Columns(std::span<const Word> addresses,
+               std::span<const std::uint8_t> sel);
 
   std::vector<std::uint8_t> Take() { return out_.Take(); }
 

@@ -57,6 +57,9 @@ struct Server::Conn {
   std::vector<std::uint64_t> pending_stats;
 
   bool owes_output() const { return out_pos < out.size(); }
+  bool owes_stats(std::uint64_t id) const {
+    return std::ranges::find(pending_stats, id) != pending_stats.end();
+  }
 };
 
 class Server::Loop {
@@ -120,6 +123,7 @@ class Server::Loop {
     std::uint64_t token = 0;
     std::uint64_t accepted = 0;  // lifetime accesses admitted
     int attached_fd = -1;        // -1 = detached (connection died)
+    bool closed = false;         // CLOSEd: released once drained
   };
 
   /// A shard thread reports an armed session that drained to empty.
@@ -566,16 +570,41 @@ class Server::Loop {
         return;
       }
       ServeDeferredStats(conn, request.session_id, *slot);
+      SendStats(conn, request.session_id, *slot);
+      // This call consumed the drain signal a CLOSE may have armed.
+      if (slot->closed) Release(request.session_id);
+      return;
     }
     SendStats(conn, request.session_id, *slot);
   }
 
+  /// CLOSE ends the session. Once it has drained and the replies it is
+  /// owed are sent, it is released: a session already quiescent at
+  /// once, after CLOSE_OK; otherwise its drain signal is armed and
+  /// ServeDrained() releases it.
   void HandleClose(Conn& conn, const Frame& frame) {
     const CloseRequest request = Decode<CloseRequest>(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
     service_.CloseSession(request.session_id);
+    slot->closed = true;
+    // Closed input stays drained, and deferred replies keep request
+    // order: the STATS owed before this CLOSE leave first.
+    const bool drained = service_.NotifyWhenDrained(request.session_id);
+    if (drained) ServeDeferredStats(conn, request.session_id, *slot);
     Send(conn, CloseReply{.session_id = request.session_id});
+    if (drained) Release(request.session_id);
+  }
+
+  /// Free a CLOSEd, drained session with no reply owed: its slot, its id
+  /// on the attached connection and its service state. Every later frame
+  /// naming it gets UNKNOWN_SESSION, as for an id never issued.
+  void Release(std::uint64_t id) {
+    auto slot = sessions_.find(id);
+    if (slot == sessions_.end() || !service_.ReleaseSession(id)) return;
+    auto conn = conns_.find(slot->second.attached_fd);
+    if (conn != conns_.end()) conn->second.sessions.erase(id);
+    sessions_.erase(slot);
   }
 
   void SendStats(Conn& conn, std::uint64_t session_id,
@@ -590,10 +619,11 @@ class Server::Loop {
     for (std::size_t i = 0; i < owed; ++i) SendStats(conn, id, slot);
   }
 
-  /// Deferred DRAIN_STATS replies for the sessions shard threads posted
-  /// as drained: id → attached connection → its deferred replies. A
-  /// session that took new work since it was posted is re-armed instead,
-  /// so the reply still waits for quiescence.
+  /// The sessions shard threads posted as drained: id → attached
+  /// connection → its deferred DRAIN_STATS replies, then the release of
+  /// a CLOSEd session, attached or not. A session that took new work
+  /// since it was posted is re-armed instead, so the reply still waits
+  /// for quiescence.
   void ServeDrained() {
     std::vector<std::uint64_t> drained;
     {
@@ -602,13 +632,13 @@ class Server::Loop {
     }
     for (std::uint64_t id : drained) {
       auto slot = sessions_.find(id);
-      if (slot == sessions_.end()) continue;
+      if (slot == sessions_.end()) continue;  // released already
       auto conn = conns_.find(slot->second.attached_fd);
-      if (conn == conns_.end()) continue;  // detached: nobody to answer
-      const std::vector<std::uint64_t>& owed = conn->second.pending_stats;
-      if (std::find(owed.begin(), owed.end(), id) == owed.end()) continue;
+      const bool owed = conn != conns_.end() && conn->second.owes_stats(id);
+      if (!owed && !slot->second.closed) continue;  // nothing waits
       if (!service_.NotifyWhenDrained(id)) continue;
-      ServeDeferredStats(conn->second, id, slot->second);
+      if (owed) ServeDeferredStats(conn->second, id, slot->second);
+      if (slot->second.closed) Release(id);
     }
   }
 
@@ -659,8 +689,9 @@ class Server::Loop {
   void DropConn(int fd) {
     auto it = conns_.find(fd);
     if (it == conns_.end()) return;
-    // Detach, never destroy: the sessions stay in the service and an
-    // ATTACH with the right token resumes them exactly-once.
+    // Detach: the sessions stay in the service and an ATTACH with the
+    // right token resumes them exactly-once. A CLOSEd one is still
+    // released once it drains (its armed signal reaches ServeDrained).
     for (std::uint64_t id : it->second.sessions) {
       auto slot = sessions_.find(id);
       if (slot != sessions_.end() && slot->second.attached_fd == fd) {

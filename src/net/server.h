@@ -28,9 +28,15 @@
 //    the session's Admission verdict mapped to a protocol status, so
 //    kSlowDown / kRejected are visible client-side flow control rather
 //    than silent queue growth.
-//  - A dead connection detaches its sessions but never destroys them:
-//    ATTACH with the OPEN-issued token resumes a session exactly-once
-//    (the reply carries the admitted-access count to resume from).
+//  - A dead connection detaches its sessions but never destroys them
+//    unless closed: ATTACH with the OPEN-issued token resumes a session
+//    exactly-once (the reply carries the admitted-access count to resume
+//    from).
+//  - CLOSE ends a session: once it has drained and the DRAIN_STATS
+//    replies it is owed are sent, the service releases it
+//    (EncodingService::ReleaseSession), attached or not, so the server's
+//    memory follows its live sessions. Later frames naming it get
+//    UNKNOWN_SESSION.
 //
 // Failure containment: any malformed, truncated, oversized or
 // mid-frame-disconnected input produces a clean protocol ERROR (and for

@@ -94,6 +94,32 @@ void EncodingService::CloseSession(std::uint64_t session_id) {
   FindSession(sessions_, session_id, sessions_mutex_)->CloseInput();
 }
 
+bool EncodingService::ReleaseSession(std::uint64_t session_id) {
+  // Destroyed after the lock is dropped, unless a shard pass still holds
+  // it; then that pass destroys it.
+  std::shared_ptr<Session> released;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mutex_);
+    auto it = sessions_.find(session_id);
+    if (it == sessions_.end()) {
+      throw std::out_of_range("EncodingService: unknown session id " +
+                              std::to_string(session_id));
+    }
+    // Closed and drained stays drained: no submission is admitted.
+    if (!it->second->input_closed() || it->second->queued() != 0) {
+      return false;
+    }
+    released = std::move(it->second);
+    sessions_.erase(it);
+    // FailOver holds this lock from TakeAll to its last Add, so the
+    // owning shard is the one whose list holds the session.
+    released->shard()->Remove(*released);
+  }
+  sessions_released_.fetch_add(1, std::memory_order_relaxed);
+  Bump(metrics_.sessions_released);
+  return true;
+}
+
 bool EncodingService::EvictSession(std::uint64_t session_id) {
   return FindSession(sessions_, session_id, sessions_mutex_)->Evict();
 }
@@ -132,6 +158,11 @@ void EncodingService::SessionDrained(Session& session) {
   }
 }
 
+std::size_t EncodingService::session_count() const {
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
+  return sessions_.size();
+}
+
 std::size_t EncodingService::total_queued() const {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   std::size_t total = 0;
@@ -155,7 +186,12 @@ bool EncodingService::Drain(std::chrono::milliseconds deadline) {
 
 ShutdownResult EncodingService::Stop(std::chrono::milliseconds deadline) {
   if (stopped_) return ShutdownResult::kDrained;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Set under the watchdog's mutex, so a parked watchdog cannot miss
+    // the notify.
+    std::lock_guard<std::mutex> lock(watchdog_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   ShutdownResult result = ShutdownResult::kDrained;
@@ -191,6 +227,15 @@ void EncodingService::ScheduleDriver(unsigned index) {
   if (!config_.start_drivers || stopping_.load(std::memory_order_acquire)) {
     return;
   }
+  // The shard set its scheduled flag under its lock before calling, so a
+  // watchdog that parked after finding no driver scheduled is seen here.
+  if (watchdog_parked_.load()) {
+    {
+      std::lock_guard<std::mutex> lock(watchdog_mutex_);
+      watchdog_parked_.store(false);
+    }
+    watchdog_cv_.notify_all();
+  }
   try {
     pool_->Submit([this, index]() { DriveShard(index); });
   } catch (const std::logic_error&) {
@@ -225,12 +270,31 @@ void EncodingService::DriveShard(std::size_t index) {
 void EncodingService::WatchdogLoop() {
   std::vector<std::uint64_t> last_beat(shards_.size(), 0);
   std::vector<unsigned> strikes(shards_.size(), 0);
+  // Idle sweeps count intervals, so a watchdog that runs them never
+  // parks.
+  const bool may_park =
+      config_.enable_watchdog && config_.idle_evict_steps == 0;
+  const auto stopping = [this]() {
+    return stopping_.load(std::memory_order_acquire);
+  };
+  bool park = false;
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    watchdog_cv_.wait_for(lock, config_.watchdog_interval, [this]() {
-      return stopping_.load(std::memory_order_acquire);
-    });
-    if (stopping_.load(std::memory_order_acquire)) return;
+  while (!stopping()) {
+    if (park) {
+      // Published before the re-check: a driver scheduled after it finds
+      // the flag set and wakes us (ScheduleDriver).
+      watchdog_parked_.store(true);
+      if (!AnyDriverScheduled()) {
+        watchdog_cv_.wait(lock, [&]() {
+          return stopping() || !watchdog_parked_.load();
+        });
+      }
+      watchdog_parked_.store(false);
+    }
+    // A full interval before the next check, after a park too, so new
+    // work is not struck against before its driver has had one.
+    watchdog_cv_.wait_for(lock, config_.watchdog_interval, stopping);
+    if (stopping()) return;
     SweepIdle();
     if (!config_.enable_watchdog) continue;
     Bump(metrics_.watchdog_checks);
@@ -259,12 +323,23 @@ void EncodingService::WatchdogLoop() {
         strikes[i] = 0;
       }
     }
+    park = may_park && !AnyDriverScheduled();
   }
+}
+
+bool EncodingService::AnyDriverScheduled() const {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (!shard->dead() && shard->scheduled()) return true;
+  }
+  return false;
 }
 
 void EncodingService::FailOver(std::size_t index) {
   Shard& stuck = *shards_[index];
   stuck.MarkDead();  // fence: a resuming zombie Step() exits untouched
+  // Held until every orphan is on its new shard, so ReleaseSession never
+  // finds one between two lists.
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
   std::vector<std::shared_ptr<Session>> orphans = stuck.TakeAll();
   // Migrate to the surviving shards, round-robin. With no survivor the
   // sessions are parked back on the dead shard: nothing will drain them,

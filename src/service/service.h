@@ -23,7 +23,9 @@
 // every shard. A session that drains to empty notifies Drain()
 // waiters and, when armed with NotifyWhenDrained(), the drain listener.
 // Only the watchdog keeps a clock: once per watchdog_interval it checks
-// heartbeats and sweeps for idle sessions to evict.
+// heartbeats and sweeps for idle sessions to evict. Without idle
+// eviction it parks, untimed, after a check that finds no shard with a
+// driver scheduled, and the next ScheduleDriver wakes it.
 //
 // Robustness contracts:
 //  - Submission is never unbounded: a batch that would overflow a
@@ -118,8 +120,16 @@ class EncodingService {
   std::optional<RenegotiationSnapshot> StatsSnapshot(
       std::uint64_t session_id) const;
 
-  /// Close a session's input; queued work still drains.
+  /// Close a session's input; queued work still drains, and Report()
+  /// stays readable until ReleaseSession().
   void CloseSession(std::uint64_t session_id);
+
+  /// Free a session whose input is closed and whose queue has drained
+  /// (queued() == 0): it leaves the service and its shard, and every
+  /// later call naming its id throws std::out_of_range. Returns false,
+  /// keeping the session, while its input is open or work is queued.
+  /// Unknown ids throw std::out_of_range.
+  bool ReleaseSession(std::uint64_t session_id);
 
   /// Explicit eviction (tests, admin): deterministic teardown if the
   /// session is active with an empty queue. Returns whether it happened.
@@ -163,6 +173,14 @@ class EncodingService {
   /// Accesses queued and not yet processed, summed over all sessions.
   std::size_t total_queued() const;
 
+  /// Sessions opened and not yet released.
+  std::size_t session_count() const;
+
+  /// Sessions freed by ReleaseSession().
+  std::uint64_t sessions_released() const {
+    return sessions_released_.load(std::memory_order_relaxed);
+  }
+
   std::uint64_t failovers() const {
     return failovers_.load(std::memory_order_relaxed);
   }
@@ -185,6 +203,7 @@ class EncodingService {
   void DriveShard(std::size_t index);
   void SweepIdle();  // one idle sweep of every shard
   void WatchdogLoop();
+  bool AnyDriverScheduled() const;  // over the live shards
   void FailOver(std::size_t index);
 
   ServiceConfig config_;
@@ -192,6 +211,8 @@ class EncodingService {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
 
+  // Also held by FailOver from TakeAll to the last Add, so a session is
+  // on exactly one shard's list whenever this is free.
   mutable std::mutex sessions_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_session_id_ = 1;
@@ -201,10 +222,14 @@ class EncodingService {
   bool stopped_ = false;  // Stop() ran to completion (main thread only)
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> idle_evictions_{0};
+  std::atomic<std::uint64_t> sessions_released_{0};
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   std::thread watchdog_;
+  // The watchdog waits untimed for ScheduleDriver; set and cleared under
+  // watchdog_mutex_, read without it on the scheduling path.
+  std::atomic<bool> watchdog_parked_{false};
 
   // Drain(): notified whenever a session drains to empty.
   std::mutex drained_mutex_;

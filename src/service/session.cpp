@@ -31,6 +31,7 @@ ServiceMetrics ServiceMetrics::Resolve() {
   if (registry == nullptr) return m;
   m.sessions_opened = &registry->GetCounter("service.sessions.opened");
   m.sessions_closed = &registry->GetCounter("service.sessions.closed");
+  m.sessions_released = &registry->GetCounter("service.sessions.released");
   m.sessions_evicted = &registry->GetCounter("service.sessions.evicted");
   m.sessions_readmitted =
       &registry->GetCounter("service.sessions.readmitted");
@@ -171,6 +172,16 @@ void Session::CloseInput() {
     input_closed_ = true;
     Bump(metrics_->sessions_closed);
   }
+}
+
+Shard* Session::shard() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  return shard_;
+}
+
+bool Session::input_closed() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  return input_closed_;
 }
 
 std::size_t Session::DrainStep(std::size_t max_accesses) {

@@ -190,6 +190,7 @@ struct TransportCounters {
 struct ServiceMetrics {
   obs::Counter* sessions_opened = nullptr;
   obs::Counter* sessions_closed = nullptr;
+  obs::Counter* sessions_released = nullptr;
   obs::Counter* sessions_evicted = nullptr;
   obs::Counter* sessions_readmitted = nullptr;
   obs::Counter* sessions_degraded = nullptr;
@@ -302,6 +303,10 @@ class Session : public std::enable_shared_from_this<Session> {
   /// No further submissions are admitted; queued work still drains.
   void CloseInput();
 
+  /// Whether CloseInput() ran. Once it has and queued() reads zero, the
+  /// session never takes work again.
+  bool input_closed() const;
+
   /// Request a codec switch, pinned to the current lifetime
   /// admitted-access count so both ends of a wire conversation replay
   /// the decision deterministically (docs/PROTOCOL.md). All-or-nothing:
@@ -325,6 +330,9 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Hand the session to `shard` (Shard::Add); it joins that shard's run
   /// queue if it is runnable or has work.
   void MoveTo(Shard* shard);
+
+  /// The owning shard; null until the first MoveTo.
+  Shard* shard() const;
 
   /// Count one idle sweep and return the sweeps since the last DrainStep
   /// that processed work (the idle-eviction input).

@@ -22,6 +22,13 @@ std::vector<std::shared_ptr<Session>> Shard::TakeAll() {
   return taken;
 }
 
+void Shard::Remove(const Session& session) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(sessions_, [&](const std::shared_ptr<Session>& owned) {
+    return owned.get() == &session;
+  });
+}
+
 void Shard::Enqueue(std::shared_ptr<Session> session) {
   bool schedule = false;
   {
@@ -131,6 +138,11 @@ std::size_t Shard::SweepIdle() {
 bool Shard::has_work() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stepping_ || !run_queue_.empty();
+}
+
+bool Shard::scheduled() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return scheduled_;
 }
 
 }  // namespace abenc::service

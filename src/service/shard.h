@@ -74,6 +74,10 @@ class Shard {
   /// failover).
   std::vector<std::shared_ptr<Session>> TakeAll();
 
+  /// Drop a released session from the shard's list. Its run-queue entry,
+  /// if a pass still holds one, drains nothing and is dropped by it.
+  void Remove(const Session& session);
+
   /// Put a runnable session on the run queue and schedule the driver if
   /// it is not already scheduled (Session calls this).
   void Enqueue(std::shared_ptr<Session> session);
@@ -105,6 +109,11 @@ class Shard {
   /// Whether the shard has work: sessions on its run queue or a Step()
   /// in progress (the watchdog only needs "is there work").
   bool has_work() const;
+
+  /// Whether a driver was requested and has not finished its last pass
+  /// (always, once anything was queued, in manual mode). Only
+  /// ScheduleDriver sets it, which is what wakes a parked watchdog.
+  bool scheduled() const;
 
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   void MarkDead() { dead_.store(true, std::memory_order_release); }

@@ -270,6 +270,14 @@ void SoakTally::Record(std::string_view label, const ReadBack& read_back,
   }
 }
 
+void SoakTally::CheckReleased(const EncodingService& service) {
+  released_sessions = service.sessions_released();
+  if (const std::size_t live = service.session_count(); live != 0) {
+    failures.push_back(std::to_string(live) +
+                       " session(s) still live at the end of the run");
+  }
+}
+
 int ReportSoakExit(std::string_view tool, const SoakTally& tally,
                    double time_budget_s) {
   if (tally.timed_out) {
@@ -284,7 +292,8 @@ int ReportSoakExit(std::string_view tool, const SoakTally& tally,
     }
     return 1;
   }
-  std::cout << "  bit-identity vs serial EvaluateWithSchedule: OK\n";
+  std::cout << "  bit-identity vs serial EvaluateWithSchedule: OK; "
+            << tally.released_sessions << " sessions released, none live\n";
   return 0;
 }
 
@@ -437,6 +446,7 @@ SoakOutcome RunSoak(const SoakOptions& options) {
     const SoakSessionPlan& plan = plans[i];
     const ClientProgress& client = progress[i];
     const ReadBack read_back = ReadBackOf(service.Report(client.id));
+    service.ReleaseSession(client.id);
     GateInput input;
     input.codec_name = plan.codec_name;
     input.codec_options = plan.codec_options;
@@ -452,6 +462,7 @@ SoakOutcome RunSoak(const SoakOptions& options) {
     outcome.failures.insert(outcome.failures.end(), client.failures.begin(),
                             client.failures.end());
   }
+  outcome.CheckReleased(service);
 
   outcome.elapsed_s = clock.ElapsedSeconds();
   outcome.timed_out = clock.OutOfTime();

@@ -9,11 +9,14 @@
 //    against a serial per-word EvaluateWithSchedule() of the stream,
 //    replaying the acked switches and reset points, plus accounted
 //    deliveries and a bounded queue;
-//  - one tally and exit status, one parse of the shared flags.
+//  - one tally and exit status, one parse of the shared flags;
+//  - one release gate (SoakTally::CheckReleased): the run ends with
+//    every session closed, drained and freed.
 // The in-process soak adds thousands of simultaneous sessions pushed
 // through the admission path (optionally the columnar one), idle
 // eviction, access budgets and an optionally wedged shard the watchdog
-// must fail over under load.
+// must fail over under load, and releases each session after its
+// read-back; over the wire the server releases each one at its CLOSE.
 #pragma once
 
 #include <chrono>
@@ -190,6 +193,7 @@ struct SoakTally {
   std::uint64_t degraded_transfers = 0;
   std::uint64_t renegotiations = 0;        // acked codec switches
   std::uint64_t renegotiate_refusals = 0;  // clean refusals (tolerated)
+  std::uint64_t released_sessions = 0;     // sessions the service freed
   double elapsed_s = 0.0;
   bool timed_out = false;
   std::vector<std::string> failures;  // empty == soak passed
@@ -199,11 +203,16 @@ struct SoakTally {
   void Record(std::string_view label, const ReadBack& read_back,
               std::span<const GateCheck> failed);
 
+  /// The release gate, once the run is over: every session was closed,
+  /// drained and freed, so `service` holds none. Counts the releases.
+  void CheckReleased(const EncodingService& service);
+
   bool ok() const { return failures.empty() && !timed_out; }
 };
 
 /// Prints the verdict and returns the exit status: 0 pass (one OK line
-/// on stdout), 1 failures (listed on stderr), 2 time budget exceeded.
+/// on stdout, with the sessions released), 1 failures (listed on
+/// stderr), 2 time budget exceeded.
 int ReportSoakExit(std::string_view tool, const SoakTally& tally,
                    double time_budget_s);
 

@@ -710,6 +710,46 @@ struct RawConn {
   }
 };
 
+/// Holds a shard's passes in its stall hook until Open(), so queued
+/// work waits there.
+class ShardGate {
+ public:
+  void Hold(service::Shard& shard) {
+    shard.SetStallHook([state = state_]() {
+      std::unique_lock<std::mutex> lock(state->mutex);
+      state->cv.wait(lock, [&]() { return state->open; });
+    });
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(state_->mutex);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+/// The status of the request-scoped ERROR `request` is answered with.
+template <typename Request>
+Status ErrorStatusOf(Request request) {
+  try {
+    request();
+  } catch (const WireError& e) {
+    return e.status();
+  }
+  ADD_FAILURE() << "the request was served";
+  return Status::kOk;
+}
+
 TEST(NetServerTest, EndToEndBitIdenticalToSerialOracle) {
   Server server(LoopbackConfig());
   server.Start();
@@ -1247,16 +1287,8 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   config.service.parallelism = 1;
   config.service.enable_watchdog = false;
   Server server(std::move(config));
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  auto gate = std::make_shared<Gate>();
-  server.service().shard(0).SetStallHook([gate]() {
-    std::unique_lock<std::mutex> lock(gate->mutex);
-    gate->cv.wait(lock, [&]() { return gate->open; });
-  });
+  ShardGate gate;
+  gate.Hold(server.service().shard(0));
   server.Start();
 
   ClientOptions options = OptionsFor(server);
@@ -1284,13 +1316,180 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   ASSERT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(Decode<ErrorReply>(reply.payload).status, Status::kNotAttached);
 
-  {
-    std::lock_guard<std::mutex> lock(gate->mutex);
-    gate->open = true;
-  }
-  gate->cv.notify_all();
+  gate.Open();
   // The new owner's STATS still waits for quiescence and is complete.
   EXPECT_EQ(new_conn.DrainStats(opened.session_id, true).stream_length, 64u);
+  server.Stop();
+}
+
+TEST(NetServerTest, ClosedSessionIsReleasedAndItsIdForgotten) {
+  // A drained session is freed at CLOSE. Every later frame naming it is
+  // answered as for an id never issued, and the connection keeps
+  // serving.
+  Server server(LoopbackConfig());
+  server.Start();
+  Client client(OptionsFor(server));
+  ASSERT_NE(client.capabilities() & kCapPipeline, 0u);
+  ASSERT_NE(client.capabilities() & kCapRenegotiate, 0u);
+  const std::vector<BusAccess> batch = TestStream(64, 11);
+  const OpenReply opened = client.Open(OpenRequest{});
+  const std::uint64_t id = opened.session_id;
+  ASSERT_EQ(client.Submit(id, batch).status, Status::kOk);
+  ASSERT_EQ(client.DrainStats(id, true).stream_length, batch.size());
+  EXPECT_EQ(client.Close(id).session_id, id);
+
+  EXPECT_EQ(ErrorStatusOf([&]() { client.Submit(id, batch); }),
+            Status::kUnknownSession);
+  // The loop handles one connection's frames in order, so the release
+  // ran before that reply.
+  EXPECT_EQ(server.service().session_count(), 0u);
+  EXPECT_EQ(server.service().sessions_released(), 1u);
+  {
+    const std::vector<Word> addresses(8, 0x40);
+    const std::vector<std::uint8_t> sel(8, 1);
+    client.SendRaw(EncodeFrame(
+        FrameType::kSubmitStream,
+        EncodeSubmitStream(id, batch.size(), /*want_ack=*/true,
+                           addresses.data(), sel.data(), sel.size())));
+    const Frame reply = client.ReadFrame();
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(Decode<ErrorReply>(reply.payload).status,
+              Status::kUnknownSession);
+  }
+  EXPECT_EQ(ErrorStatusOf([&]() { client.DrainStats(id, true); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(ErrorStatusOf([&]() { client.DrainStats(id, false); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(ErrorStatusOf([&]() { client.Close(id); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(ErrorStatusOf([&]() { client.Renegotiate(id, "gray"); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(ErrorStatusOf([&]() { client.Attach(id, opened.token); }),
+            Status::kUnknownSession);
+
+  // The same connection still serves, and ids are never reused.
+  const OpenReply next = client.Open(OpenRequest{});
+  EXPECT_NE(next.session_id, id);
+  EXPECT_EQ(client.Submit(next.session_id, batch).status, Status::kOk);
+  EXPECT_EQ(client.DrainStats(next.session_id, true).stream_length,
+            batch.size());
+  client.Close(next.session_id);
+  server.Stop();
+}
+
+ServerConfig OneHeldShardConfig() {
+  ServerConfig config = LoopbackConfig();
+  config.service.shards = 1;
+  config.service.parallelism = 1;
+  config.service.enable_watchdog = false;
+  return config;
+}
+
+TEST(NetServerTest, CloseBeforeTheDrainReleasesAfterIt) {
+  // CLOSE while the shard holds the session's work: CLOSE_OK at once,
+  // the session live until the hold lifts, then released. A
+  // DRAIN_STATS(wait) sent before the CLOSE still gets its full STATS.
+  Server server(OneHeldShardConfig());
+  ShardGate gate;
+  gate.Hold(server.service().shard(0));
+  server.Start();
+  Client client(OptionsFor(server));
+  const std::vector<BusAccess> stream = TestStream(300, 12);
+  OpenRequest open;
+  open.codec = "bus-invert";
+  const std::uint64_t id = client.Open(open).session_id;
+  ASSERT_EQ(client.Submit(id, stream).status, Status::kOk);
+
+  DrainStatsRequest drain;
+  drain.session_id = id;
+  drain.wait_drained = true;
+  std::vector<std::uint8_t> requests = EncodeFrame(drain);
+  CloseRequest close;
+  close.session_id = id;
+  const std::vector<std::uint8_t> frame = EncodeFrame(close);
+  requests.insert(requests.end(), frame.begin(), frame.end());
+  client.SendRaw(requests);
+  ASSERT_EQ(client.ReadFrame().type, FrameType::kCloseOk);
+  EXPECT_EQ(server.service().session_count(), 1u);
+
+  gate.Open();
+  const Frame reply = client.ReadFrame();
+  ASSERT_EQ(reply.type, FrameType::kStats);
+  const StatsReply stats =
+      Decode<StatsReply>(reply.payload, client.capabilities());
+  EXPECT_TRUE(stats.input_closed);
+  EXPECT_EQ(stats.accepted, stream.size());
+  ASSERT_EQ(stats.stream_length, stream.size());
+  const std::vector<std::size_t> resets(stats.reset_points.begin(),
+                                        stats.reset_points.end());
+  const EvalResult expected =
+      EvaluateWithSchedule("bus-invert", CodecOptions{}, stream, {}, resets);
+  EXPECT_EQ(stats.transitions, expected.transitions);
+  EXPECT_EQ(stats.per_line,
+            std::vector<long long>(expected.per_line.begin(),
+                                   expected.per_line.end()));
+
+  // Released right after the STATS left, before the next frame.
+  EXPECT_EQ(ErrorStatusOf([&]() { client.DrainStats(id, false); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(server.service().session_count(), 0u);
+  server.Stop();
+}
+
+TEST(NetServerTest, ClosedSessionOfADroppedConnectionIsReleased) {
+  // A CLOSEd session whose connection drops before it drains is still
+  // released once it drains: detached, but not kept.
+  Server server(OneHeldShardConfig());
+  ShardGate gate;
+  gate.Hold(server.service().shard(0));
+  server.Start();
+  auto owner = std::make_unique<Client>(OptionsFor(server));
+  const OpenReply opened = owner->Open(OpenRequest{});
+  ASSERT_EQ(owner->Submit(opened.session_id, TestStream(200, 14)).status,
+            Status::kOk);
+  owner->Close(opened.session_id);
+  owner->Abort();
+
+  // The dropped socket's end of file is queued before the next
+  // connection's frames, and the loop reads ready sockets in fd order.
+  Client other(OptionsFor(server));
+  EXPECT_EQ(ErrorStatusOf([&]() { other.DrainStats(~0ull, false); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(server.service().session_count(), 1u);
+
+  gate.Open();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.service().session_count() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.service().session_count(), 0u);
+  const auto attach = [&]() { other.Attach(opened.session_id, opened.token); };
+  EXPECT_EQ(ErrorStatusOf(attach), Status::kUnknownSession);
+  server.Stop();
+}
+
+TEST(NetServerTest, ManyClosedSessionsLeaveNoneLive) {
+  // 500 open/submit/stats/close cycles: the server holds no session
+  // afterwards.
+  Server server(LoopbackConfig());
+  server.Start();
+  Client client(OptionsFor(server));
+  const std::vector<BusAccess> batch = TestStream(64, 13);
+  constexpr std::uint64_t kCycles = 500;
+  std::uint64_t last = 0;
+  for (std::uint64_t i = 0; i < kCycles; ++i) {
+    last = client.Open(OpenRequest{}).session_id;
+    ASSERT_EQ(client.Submit(last, batch).status, Status::kOk);
+    ASSERT_EQ(client.DrainStats(last, true).stream_length, batch.size());
+    client.Close(last);
+  }
+  // One more round trip, so the last CLOSE's release has run.
+  EXPECT_EQ(ErrorStatusOf([&]() { client.DrainStats(last, false); }),
+            Status::kUnknownSession);
+  EXPECT_EQ(server.service().session_count(), 0u);
+  EXPECT_EQ(server.service().sessions_released(), kCycles);
   server.Stop();
 }
 

@@ -19,6 +19,7 @@
 #include "core/adaptive_codec.h"
 #include "core/codec_factory.h"
 #include "core/stream_evaluator.h"
+#include "obs/metrics.h"
 #include "service/service.h"
 #include "service/soak.h"
 #include "verify/stream_gen.h"
@@ -665,6 +666,37 @@ TEST(ServiceTest, UnknownSessionIdsThrow) {
   EXPECT_THROW(service.CloseSession(99), std::out_of_range);
 }
 
+TEST(ReleaseTest, OnlyAClosedDrainedSessionIsReleased) {
+  EncodingService service(ManualMode(2));
+  const std::uint64_t id = service.OpenSession();
+  const std::uint64_t other = service.OpenSession();
+  EXPECT_FALSE(service.ReleaseSession(id));  // input still open
+
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kMultiplexed, 30, 200);
+  ASSERT_EQ(service.Submit(id, stream), Admission::kAccepted);
+  service.CloseSession(id);
+  EXPECT_FALSE(service.ReleaseSession(id));  // closed, work queued
+  EXPECT_EQ(service.session_count(), 2u);
+
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  // Report() stays readable between the drain and the release.
+  CodecPtr reference = MakeCodec("t0");
+  ExpectSameEvalResult(service.Report(id).result, Evaluate(*reference, stream));
+  EXPECT_TRUE(service.ReleaseSession(id));
+  EXPECT_EQ(service.session_count(), 1u);
+  EXPECT_EQ(service.sessions_released(), 1u);
+  EXPECT_THROW(service.Report(id), std::out_of_range);
+  EXPECT_THROW(service.Submit(id, stream), std::out_of_range);
+  EXPECT_THROW(service.ReleaseSession(id), std::out_of_range);
+
+  // The other session, on the other shard, is untouched.
+  ASSERT_EQ(service.Submit(other, stream), Admission::kAccepted);
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  ExpectSameEvalResult(service.Report(other).result,
+                       Evaluate(*reference, stream));
+}
+
 TEST(ServiceTest, InvalidSessionConfigThrowsAtAdmission) {
   EncodingService service(ManualMode());
   SessionConfig config;
@@ -910,6 +942,78 @@ TEST(WatchdogTest, FailsOverAWedgedShardAndNoWorkIsLost) {
     ExpectSameEvalResult(service.Report(ids[i]).result,
                          Evaluate(*reference, streams[i]));
   }
+}
+
+TEST(WatchdogTest, ParksWhileIdleAndStillFailsOverAfterAPark) {
+  // With no shard driver scheduled and no idle eviction, the watchdog
+  // stops checking; the next submission wakes it, and a shard wedged
+  // with that work is failed over as before.
+  obs::MetricsRegistry registry;
+  obs::ScopedInstall install(&registry);
+  ServiceConfig service_config;
+  service_config.shards = 2;
+  service_config.parallelism = 2;
+  service_config.watchdog_interval = std::chrono::milliseconds(1);
+  service_config.watchdog_stuck_strikes = 20;
+  EncodingService service(service_config);
+  const obs::Counter& checks = registry.GetCounter("service.watchdog.checks");
+
+  const auto wait_for = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  // Parked: within 5 s, the count holds still over 100 intervals.
+  const auto parks = [&]() {
+    std::uint64_t before = checks.value();
+    for (int window = 0; window < 50; ++window) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      const std::uint64_t after = checks.value();
+      if (after == before) return true;
+      before = after;
+    }
+    return false;
+  };
+  ASSERT_TRUE(wait_for([&]() { return checks.value() != 0; }));
+  EXPECT_TRUE(parks());
+
+  // Sessions land round-robin: the first on shard 0, the second on 1.
+  const std::uint64_t on_shard0 = service.OpenSession();
+  const std::uint64_t on_shard1 = service.OpenSession();
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kBoundary, 31, 200);
+  const std::uint64_t parked_at = checks.value();
+  ASSERT_EQ(service.Submit(on_shard1, stream), Admission::kAccepted);
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  ASSERT_TRUE(wait_for([&]() { return checks.value() > parked_at; }));
+  EXPECT_TRUE(parks());
+
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  service.shard(0).SetStallHook([gate]() {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&]() { return gate->open; });
+  });
+  ASSERT_EQ(service.Submit(on_shard0, stream), Admission::kAccepted);
+  EXPECT_TRUE(wait_for([&]() { return service.failovers() == 1; }));
+  EXPECT_TRUE(service.shard(0).dead());
+  EXPECT_TRUE(service.Drain(std::chrono::milliseconds(20000)));
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
+  CodecPtr reference = MakeCodec("t0");
+  ExpectSameEvalResult(service.Report(on_shard0).result,
+                       Evaluate(*reference, stream));
 }
 
 TEST(SoakTest, SmokeRunIsBitIdenticalUnderFaults) {
