@@ -116,7 +116,6 @@ bool EncodingService::ReleaseSession(std::uint64_t session_id) {
     released->shard()->Remove(*released);
   }
   sessions_released_.fetch_add(1, std::memory_order_relaxed);
-  Bump(metrics_.sessions_released);
   return true;
 }
 

@@ -31,7 +31,6 @@ ServiceMetrics ServiceMetrics::Resolve() {
   if (registry == nullptr) return m;
   m.sessions_opened = &registry->GetCounter("service.sessions.opened");
   m.sessions_closed = &registry->GetCounter("service.sessions.closed");
-  m.sessions_released = &registry->GetCounter("service.sessions.released");
   m.sessions_evicted = &registry->GetCounter("service.sessions.evicted");
   m.sessions_readmitted =
       &registry->GetCounter("service.sessions.readmitted");

@@ -190,7 +190,6 @@ struct TransportCounters {
 struct ServiceMetrics {
   obs::Counter* sessions_opened = nullptr;
   obs::Counter* sessions_closed = nullptr;
-  obs::Counter* sessions_released = nullptr;
   obs::Counter* sessions_evicted = nullptr;
   obs::Counter* sessions_readmitted = nullptr;
   obs::Counter* sessions_degraded = nullptr;

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -710,34 +711,6 @@ struct RawConn {
   }
 };
 
-/// Holds a shard's passes in its stall hook until Open(), so queued
-/// work waits there.
-class ShardGate {
- public:
-  void Hold(service::Shard& shard) {
-    shard.SetStallHook([state = state_]() {
-      std::unique_lock<std::mutex> lock(state->mutex);
-      state->cv.wait(lock, [&]() { return state->open; });
-    });
-  }
-
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->open = true;
-    }
-    state_->cv.notify_all();
-  }
-
- private:
-  struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  std::shared_ptr<State> state_ = std::make_shared<State>();
-};
-
 /// The status of the request-scoped ERROR `request` is answered with.
 template <typename Request>
 Status ErrorStatusOf(Request request) {
@@ -1287,8 +1260,16 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   config.service.parallelism = 1;
   config.service.enable_watchdog = false;
   Server server(std::move(config));
-  ShardGate gate;
-  gate.Hold(server.service().shard(0));
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  server.service().shard(0).SetStallHook([gate]() {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&]() { return gate->open; });
+  });
   server.Start();
 
   ClientOptions options = OptionsFor(server);
@@ -1316,7 +1297,11 @@ TEST(NetServerTest, TakeoverFailsTheOldConnectionsDeferredStats) {
   ASSERT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(Decode<ErrorReply>(reply.payload).status, Status::kNotAttached);
 
-  gate.Open();
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
   // The new owner's STATS still waits for quiescence and is complete.
   EXPECT_EQ(new_conn.DrainStats(opened.session_id, true).stream_length, 64u);
   server.Stop();
@@ -1390,8 +1375,9 @@ TEST(NetServerTest, CloseBeforeTheDrainReleasesAfterIt) {
   // the session live until the hold lifts, then released. A
   // DRAIN_STATS(wait) sent before the CLOSE still gets its full STATS.
   Server server(OneHeldShardConfig());
-  ShardGate gate;
-  gate.Hold(server.service().shard(0));
+  std::promise<void> hold;
+  server.service().shard(0).SetStallHook(
+      [held = hold.get_future().share()]() { held.wait(); });
   server.Start();
   Client client(OptionsFor(server));
   const std::vector<BusAccess> stream = TestStream(300, 12);
@@ -1412,7 +1398,7 @@ TEST(NetServerTest, CloseBeforeTheDrainReleasesAfterIt) {
   ASSERT_EQ(client.ReadFrame().type, FrameType::kCloseOk);
   EXPECT_EQ(server.service().session_count(), 1u);
 
-  gate.Open();
+  hold.set_value();
   const Frame reply = client.ReadFrame();
   ASSERT_EQ(reply.type, FrameType::kStats);
   const StatsReply stats =
@@ -1440,8 +1426,9 @@ TEST(NetServerTest, ClosedSessionOfADroppedConnectionIsReleased) {
   // A CLOSEd session whose connection drops before it drains is still
   // released once it drains: detached, but not kept.
   Server server(OneHeldShardConfig());
-  ShardGate gate;
-  gate.Hold(server.service().shard(0));
+  std::promise<void> hold;
+  server.service().shard(0).SetStallHook(
+      [held = hold.get_future().share()]() { held.wait(); });
   server.Start();
   auto owner = std::make_unique<Client>(OptionsFor(server));
   const OpenReply opened = owner->Open(OpenRequest{});
@@ -1457,7 +1444,7 @@ TEST(NetServerTest, ClosedSessionOfADroppedConnectionIsReleased) {
             Status::kUnknownSession);
   EXPECT_EQ(server.service().session_count(), 1u);
 
-  gate.Open();
+  hold.set_value();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.service().session_count() != 0 &&

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -991,25 +992,14 @@ TEST(WatchdogTest, ParksWhileIdleAndStillFailsOverAfterAPark) {
   ASSERT_TRUE(wait_for([&]() { return checks.value() > parked_at; }));
   EXPECT_TRUE(parks());
 
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  auto gate = std::make_shared<Gate>();
-  service.shard(0).SetStallHook([gate]() {
-    std::unique_lock<std::mutex> lock(gate->mutex);
-    gate->cv.wait(lock, [&]() { return gate->open; });
-  });
+  std::promise<void> hold;
+  service.shard(0).SetStallHook(
+      [held = hold.get_future().share()]() { held.wait(); });
   ASSERT_EQ(service.Submit(on_shard0, stream), Admission::kAccepted);
   EXPECT_TRUE(wait_for([&]() { return service.failovers() == 1; }));
   EXPECT_TRUE(service.shard(0).dead());
   EXPECT_TRUE(service.Drain(std::chrono::milliseconds(20000)));
-  {
-    std::lock_guard<std::mutex> lock(gate->mutex);
-    gate->open = true;
-  }
-  gate->cv.notify_all();
+  hold.set_value();
   EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
   CodecPtr reference = MakeCodec("t0");
   ExpectSameEvalResult(service.Report(on_shard0).result,
